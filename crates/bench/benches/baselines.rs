@@ -30,7 +30,6 @@ fn bench_methods(c: &mut Criterion) {
             Disassociator::try_new(DisassociationConfig {
                 k: 5,
                 m: 2,
-                parallel: false,
                 ..Default::default()
             })
             .expect("valid disassociation configuration")

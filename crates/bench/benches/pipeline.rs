@@ -94,7 +94,6 @@ fn bench_end_to_end(c: &mut Criterion) {
                 Disassociator::try_new(DisassociationConfig {
                     k: 5,
                     m: 2,
-                    parallel: false,
                     ..Default::default()
                 })
                 .expect("valid disassociation configuration")

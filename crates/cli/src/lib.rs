@@ -83,7 +83,7 @@ pub enum Command {
         max_cluster_size: usize,
         /// Disable the refining step.
         no_refine: bool,
-        /// Batches anonymized concurrently (1 = serial, 0 = one per core).
+        /// Batches anonymized concurrently (1 = one thread, 0 = one per core).
         threads: usize,
         /// Output prefix (writes `<prefix>.chunks.json`).
         out_prefix: PathBuf,
@@ -159,7 +159,7 @@ pub enum Command {
         k: usize,
         /// Privacy parameter m.
         m: usize,
-        /// Batches anonymized concurrently (1 = serial, 0 = one per core).
+        /// Batches anonymized concurrently (1 = one thread, 0 = one per core).
         threads: usize,
         /// Observability: metrics snapshot / trace / profile summary.
         obs: ObsOptions,
@@ -417,7 +417,8 @@ USAGE:
 Store-backed runs stream the dataset in batches (out-of-core anonymization):
 `--batch-size 0` keeps file input monolithic and selects the default batch
 (8192 records) for store input.  `--threads N` anonymizes up to N batches
-concurrently (0 = one per core) with byte-identical output, and the chunk
+concurrently (default 1 = one thread, 0 = one per core) with byte-identical
+output; it is the run's only parallelism.  The chunk
 file is streamed to disk batch by batch, so neither input nor output
 residency grows with the dataset.
 

@@ -44,13 +44,11 @@ use crate::horpart::{
 };
 use crate::model::{ClusterNode, DisassociatedDataset};
 use crate::pipeline::{BatchOutput, ChunkSink, RecordSource};
-use crate::refine::{refine, RefineOptions, WorkCluster, WorkNode};
+use crate::refine::{WorkCluster, WorkNode};
 use crate::verpart::VerPartOptions;
 use crate::{DisassociationConfig, DisassociationOutput, Disassociator, PhaseTimings};
 use disassoc_obs::metrics::counters as obs_counters;
 use disassoc_obs::trace::{self as obs_trace, Attr};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use transact::{Dataset, Record};
@@ -188,10 +186,7 @@ impl IncrementalRun {
         // lint:allow(nondeterminism, "phase timing for the stats block; never reaches published bytes")
         let t1 = std::time::Instant::now();
 
-        let vp_options = VerPartOptions {
-            forced_term_chunk: cfg.sensitive_terms.clone(),
-            shuffle: true,
-        };
+        let vp_options = disassociator.verpart_options();
         let work: Vec<WorkCluster> = partition
             .clusters
             .iter()
@@ -209,15 +204,7 @@ impl IncrementalRun {
         let mut refine_passes = 0usize;
         let mut refine_converged = true;
         if cfg.enable_refine {
-            let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5EED_2EF1);
-            let mut refine_options = RefineOptions {
-                excluded_terms: cfg.sensitive_terms.clone(),
-                ..RefineOptions::default()
-            };
-            if cfg.refine_max_passes > 0 {
-                refine_options.max_passes = cfg.refine_max_passes;
-            }
-            let outcome = refine(nodes, cfg.k, cfg.m, &refine_options, &mut rng);
+            let outcome = disassociator.refine_forest(nodes, 0);
             nodes = outcome.nodes;
             refine_passes = outcome.passes_used;
             refine_converged = outcome.converged;
@@ -440,10 +427,7 @@ impl IncrementalRun {
         let dirty_count = dirty_slots.len();
         // lint:allow(nondeterminism, "phase timing for the stats block; never reaches published bytes")
         let t1 = std::time::Instant::now();
-        let vp_options = VerPartOptions {
-            forced_term_chunk: cfg.sensitive_terms.clone(),
-            shuffle: true,
-        };
+        let vp_options = self.disassociator.verpart_options();
         let mut work: Vec<WorkCluster> = Vec::new();
         let mut touched_slots: Vec<usize> = Vec::new();
         let mut new_clusters = 0usize;
@@ -507,17 +491,8 @@ impl IncrementalRun {
         // stream so repeated appends stay deterministic.
         let mut nodes: Vec<WorkNode> = work.into_iter().map(WorkNode::Simple).collect();
         if cfg.enable_refine && !nodes.is_empty() {
-            let mut rng = StdRng::seed_from_u64(
-                cfg.seed ^ 0x5EED_2EF1 ^ self.generation.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
-            let mut refine_options = RefineOptions {
-                excluded_terms: cfg.sensitive_terms.clone(),
-                ..RefineOptions::default()
-            };
-            if cfg.refine_max_passes > 0 {
-                refine_options.max_passes = cfg.refine_max_passes;
-            }
-            let outcome = refine(nodes, cfg.k, cfg.m, &refine_options, &mut rng);
+            let salt = self.generation.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let outcome = self.disassociator.refine_forest(nodes, salt);
             nodes = outcome.nodes;
             self.refine_passes = self.refine_passes.max(outcome.passes_used);
             self.refine_converged &= outcome.converged;
@@ -844,7 +819,8 @@ mod tests {
     use super::*;
     use crate::pipeline::DatasetSource;
     use crate::verify::verify_structure;
-    use rand::Rng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use transact::TermId;
 
     fn synthetic(n: usize, domain: u32, seed: u64) -> Vec<Record> {

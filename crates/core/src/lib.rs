@@ -49,9 +49,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// The legacy `stream` shims stay available to external callers, but nothing
-// inside this crate may regress onto them (their own tests opt back in with
-// a scoped `allow`); CI additionally greps the whole workspace.
+// Using any deprecated item, ours or a dependency's, is an error, so a
+// retired API cannot creep back in.
 #![deny(deprecated)]
 
 pub mod anonymity;
@@ -64,7 +63,6 @@ pub mod pipeline;
 pub mod query;
 pub mod reconstruct;
 pub mod refine;
-pub mod stream;
 pub mod verify;
 pub mod verpart;
 
@@ -81,7 +79,7 @@ use disassoc_obs::trace::{self as obs_trace, Attr};
 use horpart::horizontal_partition;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use refine::{refine, RefineOptions, WorkCluster, WorkNode};
+use refine::{refine, RefineOptions, RefineOutcome, WorkCluster, WorkNode};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use transact::{Dataset, TermId};
@@ -112,8 +110,6 @@ pub struct DisassociationConfig {
     /// partitioning decisions and always placed in term chunks (l-diversity
     /// mode, Section 5).
     pub sensitive_terms: BTreeSet<TermId>,
-    /// Vertical-partition clusters on multiple threads.
-    pub parallel: bool,
 }
 
 impl Default for DisassociationConfig {
@@ -126,7 +122,6 @@ impl Default for DisassociationConfig {
             refine_max_passes: 0,
             seed: 0xD15A550C,
             sensitive_terms: BTreeSet::new(),
-            parallel: true,
         }
     }
 }
@@ -301,16 +296,15 @@ impl Disassociator {
             .collect();
         drop(slots);
 
-        // Phase 2: vertical partitioning (per cluster, optionally parallel).
-        let vp_options = VerPartOptions {
-            forced_term_chunk: cfg.sensitive_terms.clone(),
-            shuffle: true,
-        };
-        let clusters: Vec<WorkCluster> = if cfg.parallel && partition.len() > 1 {
-            self.vertical_parallel(&partition.clusters, cluster_records, &vp_options)
-        } else {
-            self.vertical_serial(&partition.clusters, cluster_records, &vp_options)
-        };
+        // Phase 2: vertical partitioning, cluster by cluster.
+        let vp_options = self.verpart_options();
+        let clusters: Vec<WorkCluster> = partition
+            .clusters
+            .iter()
+            .zip(cluster_records)
+            .enumerate()
+            .map(|(i, (indices, records))| self.partition_one(i, indices, records, &vp_options))
+            .collect();
         // lint:allow(nondeterminism, "phase timing for the stats block; never reaches published bytes")
         let t2 = std::time::Instant::now();
 
@@ -319,15 +313,7 @@ impl Disassociator {
         let mut refine_passes = 0usize;
         let mut refine_converged = true;
         if cfg.enable_refine {
-            let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5EED_2EF1);
-            let mut refine_options = RefineOptions {
-                excluded_terms: cfg.sensitive_terms.clone(),
-                ..RefineOptions::default()
-            };
-            if cfg.refine_max_passes > 0 {
-                refine_options.max_passes = cfg.refine_max_passes;
-            }
-            let outcome = refine(nodes, cfg.k, cfg.m, &refine_options, &mut rng);
+            let outcome = self.refine_forest(nodes, 0);
             nodes = outcome.nodes;
             refine_passes = outcome.passes_used;
             refine_converged = outcome.converged;
@@ -378,61 +364,29 @@ impl Disassociator {
         }
     }
 
-    fn vertical_serial(
-        &self,
-        clusters: &[Vec<usize>],
-        cluster_records: Vec<Vec<transact::Record>>,
-        options: &VerPartOptions,
-    ) -> Vec<WorkCluster> {
-        clusters
-            .iter()
-            .zip(cluster_records)
-            .enumerate()
-            .map(|(i, (indices, records))| self.partition_one(i, indices, records, options))
-            .collect()
+    /// VERPART options of a publication under this configuration: shuffled
+    /// chunks, sensitive terms forced into the term chunk.
+    pub(crate) fn verpart_options(&self) -> VerPartOptions {
+        VerPartOptions {
+            forced_term_chunk: self.config.sensitive_terms.clone(),
+            shuffle: true,
+        }
     }
 
-    fn vertical_parallel(
-        &self,
-        clusters: &[Vec<usize>],
-        cluster_records: Vec<Vec<transact::Record>>,
-        options: &VerPartOptions,
-    ) -> Vec<WorkCluster> {
-        let n_threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(4)
-            .min(clusters.len().max(1));
-        // Each worker takes ownership of a cluster's records through its
-        // input slot and parks the result in the matching output slot.
-        let inputs: Vec<parking_lot::Mutex<Option<Vec<transact::Record>>>> = cluster_records
-            .into_iter()
-            .map(|records| parking_lot::Mutex::new(Some(records)))
-            .collect();
-        let results: Vec<parking_lot::Mutex<Option<WorkCluster>>> = (0..clusters.len())
-            .map(|_| parking_lot::Mutex::new(None))
-            .collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        crossbeam::scope(|scope| {
-            for _ in 0..n_threads {
-                scope.spawn(|_| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= clusters.len() {
-                        break;
-                    }
-                    // lint:allow(panic, "the atomic counter hands each index to exactly one worker")
-                    let records = inputs[i].lock().take().expect("cluster input taken once");
-                    let work = self.partition_one(i, &clusters[i], records, options);
-                    *results[i].lock() = Some(work);
-                });
-            }
-        })
-        // lint:allow(panic, "re-raises a worker panic on the caller thread by design")
-        .expect("vertical partitioning worker panicked");
-        results
-            .into_iter()
-            // lint:allow(panic, "every index was processed before the scope joined")
-            .map(|m| m.into_inner().expect("cluster result missing"))
-            .collect()
+    /// Runs REFINE over `nodes` under this configuration.  `salt` is mixed
+    /// into the REFINE seed: `0` for a full run, a per-generation value for
+    /// an incremental append.
+    pub(crate) fn refine_forest(&self, nodes: Vec<WorkNode>, salt: u64) -> RefineOutcome {
+        let cfg = &self.config;
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5EED_2EF1 ^ salt);
+        let mut options = RefineOptions {
+            excluded_terms: cfg.sensitive_terms.clone(),
+            ..RefineOptions::default()
+        };
+        if cfg.refine_max_passes > 0 {
+            options.max_passes = cfg.refine_max_passes;
+        }
+        refine(nodes, cfg.k, cfg.m, &options, &mut rng)
     }
 
     pub(crate) fn partition_one(
@@ -546,30 +500,6 @@ mod tests {
         {
             assert_eq!(indices.len(), cluster.size);
         }
-    }
-
-    #[test]
-    fn parallel_and_serial_produce_identical_results() {
-        let d = figure2_dataset();
-        let base = DisassociationConfig {
-            k: 2,
-            m: 2,
-            max_cluster_size: 4,
-            seed: 7,
-            ..Default::default()
-        };
-        let serial = Disassociator::new(DisassociationConfig {
-            parallel: false,
-            ..base.clone()
-        })
-        .anonymize(&d);
-        let parallel = Disassociator::new(DisassociationConfig {
-            parallel: true,
-            ..base
-        })
-        .anonymize(&d);
-        assert_eq!(serial.dataset, parallel.dataset);
-        assert_eq!(serial.cluster_assignment, parallel.cluster_assignment);
     }
 
     #[test]

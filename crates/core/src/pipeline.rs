@@ -60,7 +60,7 @@ use disassoc_obs::metrics::{gauges as obs_gauges, histograms as obs_histograms};
 use disassoc_obs::trace::{self as obs_trace, Attr};
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Mutex, PoisonError};
 use transact::io::RecordReader;
 use transact::{Dataset, Dictionary, Record};
 
@@ -150,8 +150,7 @@ pub struct RunSummary {
 /// batch, not a second copy of the dataset (`batch_size == 0` means a single
 /// batch).
 ///
-/// Also an [`Iterator`] of `Vec<Record>`, so it plugs into the legacy
-/// [`crate::stream::stream_anonymize`] shims unchanged.
+/// Also an exact-size [`Iterator`] of `Vec<Record>` batches.
 #[derive(Debug, Clone)]
 pub struct DatasetSource<'a> {
     records: &'a [Record],
@@ -383,8 +382,7 @@ impl ChunkSink for CollectSink {
     }
 }
 
-/// Wraps an infallible callback as a [`ChunkSink`] (the adapter behind the
-/// legacy [`crate::stream::stream_anonymize`] shim).
+/// Wraps an infallible callback as a [`ChunkSink`].
 #[derive(Debug)]
 pub struct FnSink<F: FnMut(BatchOutput)> {
     f: F,
@@ -747,9 +745,8 @@ impl ChunkSink for MultiSink<'_> {
 /// With `threads(n > 1)`, up to `n` batches are anonymized concurrently on a
 /// bounded worker pool while the source is pulled and the sink is fed from
 /// the calling thread; sink delivery stays in batch order, so the output is
-/// byte-identical to a single-threaded run.  Each worker processes its batch
-/// serially (`parallel = false`) — one batch per core beats nested
-/// parallelism, and the per-batch result is identical either way.
+/// byte-identical to a single-threaded run.  The thread count is the run's
+/// whole parallelism budget: each batch is anonymized on one thread.
 pub struct Pipeline<'a> {
     config: DisassociationConfig,
     source: Option<&'a mut dyn RecordSource>,
@@ -894,26 +891,21 @@ fn run_parallel(
     sink: &mut Option<&mut dyn ChunkSink>,
     threads: usize,
 ) -> Result<RunSummary, Error> {
-    // Workers anonymize each batch serially: with one batch per worker the
-    // cores are already busy, and per-batch output is provably identical
-    // with or without the inner verpart parallelism.
-    let worker = Disassociator::try_new(DisassociationConfig {
-        parallel: false,
-        ..config.clone()
-    })?;
+    let disassociator = Disassociator::try_new(config.clone())?;
     let (job_tx, job_rx) = mpsc::channel::<Job>();
-    let job_rx = Arc::new(parking_lot::Mutex::new(job_rx));
+    let job_rx = Mutex::new(job_rx);
     let (done_tx, done_rx) = mpsc::channel::<WorkerResult>();
-    crossbeam::scope(|scope| {
+    // The scope joins every worker before it returns.
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            let rx = Arc::clone(&job_rx);
+            let (rx, disassociator) = (&job_rx, &disassociator);
             let tx = done_tx.clone();
-            let disassociator = worker.clone();
-            scope.spawn(move |_| loop {
+            scope.spawn(move || loop {
                 // The lock is released as soon as `recv` returns: holding it
                 // across the blocking wait is what makes the shared receiver
-                // act as a work queue.
-                let job = { rx.lock().recv() };
+                // act as a work queue.  Nothing panics while holding it, so a
+                // poisoned lock still guards a valid receiver.
+                let job = { rx.lock().unwrap_or_else(PoisonError::into_inner).recv() };
                 let Ok(Job {
                     index,
                     offset,
@@ -952,8 +944,6 @@ fn run_parallel(
         // unblocks every worker (recv/send fail) before the scope joins.
         drive(source, sink, job_tx, done_rx, threads)
     })
-    // lint:allow(panic, "re-raises a worker panic on the driver thread by design")
-    .expect("pipeline worker panicked")
 }
 
 impl Job {
@@ -1242,6 +1232,20 @@ mod tests {
             .unwrap();
         assert_eq!(summary, RunSummary::default());
         assert_eq!(sink.into_output().dataset.total_records(), 0);
+    }
+
+    #[test]
+    fn empty_batches_are_skipped() {
+        let batches: Vec<Vec<Record>> = vec![vec![], vec![rec(&[1]); 6], vec![]];
+        let mut source = IterSource::new(batches);
+        let mut sink = CollectSink::for_config(&config());
+        let summary = Pipeline::new(config())
+            .source(&mut source)
+            .sink(&mut sink)
+            .run()
+            .unwrap();
+        assert_eq!(summary.batches, 1);
+        assert_eq!(sink.into_output().dataset.total_records(), 6);
     }
 
     #[test]

@@ -35,7 +35,6 @@ fn arb_config() -> impl Strategy<Value = DisassociationConfig> {
             max_cluster_size: if cluster_choice == 0 { 0 } else { 4 * k },
             enable_refine,
             seed,
-            parallel: false,
             ..Default::default()
         },
     )

@@ -44,7 +44,6 @@ fn arb_config() -> impl Strategy<Value = DisassociationConfig> {
             m,
             enable_refine,
             seed,
-            parallel: false,
             ..Default::default()
         }
     })

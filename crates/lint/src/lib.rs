@@ -12,8 +12,6 @@
 //!
 //! - **DL001 seam coverage** — raw durability I/O must consult
 //!   `disassoc_store::failpoints`, so the torture matrix can crash it;
-//! - **DL002 shim quarantine** — the deprecated PR 2 `stream` shims stay
-//!   confined to their modules;
 //! - **DL003 panic policy** — `unwrap`/`expect`/`panic!`/`unreachable!`
 //!   in shipped library code needs a `// lint:allow(panic, "reason")`;
 //! - **DL004 obs-name registry** — instrument/trace name literals must
@@ -169,10 +167,6 @@ impl Linter {
         let mut raw = Vec::new();
         if self.applies(rules::seam::ID, rel) {
             rules::seam::check(&ctx, &mut raw);
-        }
-        if self.applies(rules::shim::ID, rel) {
-            let banned = self.cfg.list(rules::shim::ID, "banned");
-            rules::shim::check(&ctx, &banned, &mut raw);
         }
         if self.applies(rules::panics::ID, rel) {
             rules::panics::check(&ctx, &mut raw);

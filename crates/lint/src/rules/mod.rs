@@ -8,7 +8,6 @@
 //! | id    | key            | invariant                                           |
 //! |-------|----------------|-----------------------------------------------------|
 //! | DL001 | seam           | raw durability I/O goes through the failpoint seam  |
-//! | DL002 | shim           | deprecated shims stay quarantined                   |
 //! | DL003 | panic          | no unannotated panics in shipped library code       |
 //! | DL004 | obs-name       | obs instrument names live in one canonical registry |
 //! | DL005 | nondeterminism | no wall clocks / OS randomness in deterministic code|
@@ -17,7 +16,6 @@ pub mod nondet;
 pub mod obs_names;
 pub mod panics;
 pub mod seam;
-pub mod shim;
 
 use crate::analyze::Structure;
 use crate::lexer::{Lexed, Token, TokenKind};
@@ -42,13 +40,12 @@ impl FileCtx<'_> {
 }
 
 /// All rule ids, in catalog order.
-pub const ALL_RULES: &[&str] = &[seam::ID, shim::ID, panics::ID, obs_names::ID, nondet::ID];
+pub const ALL_RULES: &[&str] = &[seam::ID, panics::ID, obs_names::ID, nondet::ID];
 
 /// The `lint:allow` key for a rule id.
 pub fn key_for(id: &str) -> &'static str {
     match id {
         "DL001" => "seam",
-        "DL002" => "shim",
         "DL003" => "panic",
         "DL004" => "obs-name",
         "DL005" => "nondeterminism",

@@ -70,24 +70,6 @@ fn dl001_regression_pre_fix_cli_rename_is_flagged() {
 }
 
 #[test]
-fn dl002_flags_shim_identifiers_outside_quarantine() {
-    let findings = lint_fixture("dl002_violation.rs", "crates/core/src/fixture.rs");
-    assert_eq!(rules_of(&findings), vec!["DL002"; 3], "{findings:#?}");
-}
-
-#[test]
-fn dl002_clean_comments_and_strings_do_not_count() {
-    let findings = lint_fixture("dl002_clean.rs", "crates/core/src/fixture.rs");
-    assert_eq!(findings, vec![], "{findings:#?}");
-}
-
-#[test]
-fn dl002_quarantine_modules_are_exempt() {
-    let findings = lint_fixture("dl002_violation.rs", "crates/core/src/stream.rs");
-    assert!(!findings.iter().any(|f| f.rule == "DL002"), "{findings:#?}");
-}
-
-#[test]
 fn dl003_flags_all_four_panic_forms() {
     let findings = lint_fixture("dl003_violation.rs", "crates/core/src/fixture.rs");
     assert_eq!(rules_of(&findings), vec!["DL003"; 4], "{findings:#?}");

@@ -15,7 +15,7 @@ fn the_workspace_self_lints_clean() {
         .canonicalize()
         .unwrap();
     let report = disassoc_lint::lint_workspace(&root).expect("lint run completes");
-    assert_eq!(report.rules_run, 5, "all five rules enabled");
+    assert_eq!(report.rules_run, 4, "all four rules enabled");
     assert!(
         report.files_scanned >= 100,
         "only {} files scanned — the walker lost a root",

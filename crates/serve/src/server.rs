@@ -539,7 +539,7 @@ fn anonymize_job(
                 let summary = Pipeline::new(config.clone())
                     .source(&mut source)
                     .sink(&mut sinks)
-                    .threads(1)
+                    .threads(0)
                     .run()?;
                 Ok((summary, *file_sink.stats()))
             })();

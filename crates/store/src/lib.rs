@@ -23,7 +23,7 @@
 //! * **size-tiered compaction** ([`compact`]) merges runs of small adjacent
 //!   segments to keep the per-scan segment count bounded;
 //! * [`Store::scan`] returns a [`RecordBatchIter`] — the chunked read API
-//!   the out-of-core anonymization in `disassociation::stream` consumes.
+//!   the out-of-core anonymization in `disassociation::pipeline` consumes.
 //!
 //! ```
 //! use disassoc_store::{Store, StoreConfig};
@@ -136,6 +136,14 @@ impl From<std::io::Error> for StoreError {
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, StoreError>;
+
+/// Fsyncs the directory `dir`, making the renames inside it durable.  The
+/// error propagates: a commit whose rename cannot be persisted has not
+/// committed.
+pub(crate) fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    // lint:allow(seam, "directory fsync after a commit rename; every caller consults its rename failpoint before calling this")
+    File::open(dir)?.sync_all()
+}
 
 /// Tuning knobs of a [`Store`].
 #[derive(Debug, Clone)]
@@ -440,6 +448,15 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("disassoc_store_lib_{name}"));
         std::fs::remove_dir_all(&dir).ok();
         dir
+    }
+
+    #[test]
+    fn sync_dir_reports_a_missing_directory() {
+        let dir = tmpdir("sync_dir");
+        assert!(sync_dir(&dir).is_err());
+        std::fs::create_dir_all(&dir).unwrap();
+        sync_dir(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     fn small_config(capacity: usize) -> StoreConfig {

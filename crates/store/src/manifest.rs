@@ -111,11 +111,7 @@ impl Manifest {
         drop(file);
         faults::check_at(failpoints::MANIFEST_RENAME, &final_path)?;
         std::fs::rename(&tmp, &final_path)?;
-        // Persist the rename itself; not all platforms support fsync on a
-        // directory handle, so failures here are non-fatal.
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
+        crate::sync_dir(dir)?;
         Ok(())
     }
 

@@ -107,17 +107,14 @@ impl ChunkManifest {
         drop(file);
         faults::check_at(failpoints::PUBLISH_COMMIT_RENAME, &final_path)?;
         std::fs::rename(&tmp, &final_path)?;
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
+        crate::sync_dir(dir)?;
         Ok(())
     }
 }
 
 /// Commits a fully staged `.partial` file to its final path: fsync the
 /// staged bytes, atomically rename onto `final_path` (the commit point),
-/// then best-effort fsync the parent directory so the rename itself is
-/// durable.  The CLI's flat-file (non-chunked) publication routes through
+/// then fsync the parent directory so the rename itself is durable.  The CLI's flat-file (non-chunked) publication routes through
 /// here so the [`failpoints::CLI_SITES`] seam covers it: a crash anywhere
 /// leaves either the complete old publication or the complete new one.
 ///
@@ -128,11 +125,12 @@ pub fn commit_flat_file(partial: &Path, final_path: &Path) -> Result<()> {
     File::open(partial)?.sync_all()?;
     faults::check_at(failpoints::CLI_PUBLISH_RENAME, final_path)?;
     std::fs::rename(partial, final_path)?;
-    if let Some(dir) = final_path.parent() {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
+    // A bare file name has the empty path as its parent.
+    let dir = match final_path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    crate::sync_dir(dir)?;
     Ok(())
 }
 

@@ -3,6 +3,7 @@
 //! reconstruction → information-loss metrics (`metrics`, `fimi`).
 
 use datagen::{QuestConfig, QuestGenerator, RealDataset};
+use disassociation::pipeline::{CollectSink, DatasetSource, Pipeline};
 use disassociation::verify::{verify_attack, verify_structure};
 use disassociation::{reconstruct_many, DisassociationConfig, Disassociator};
 use metrics::{pair_window, relative_error_averaged, InformationLoss, LossConfig, TkdConfig};
@@ -172,25 +173,28 @@ fn dataset_statistics_survive_the_io_roundtrip() {
 #[test]
 fn parallel_pipeline_matches_serial_on_a_larger_workload() {
     let dataset = quest(4_000, 400, 31);
-    let base = DisassociationConfig {
+    let config = DisassociationConfig {
         k: 5,
         m: 2,
         seed: 99,
         ..Default::default()
     };
-    let serial = Disassociator::try_new(DisassociationConfig {
-        parallel: false,
-        ..base.clone()
-    })
-    .expect("valid disassociation configuration")
-    .anonymize(&dataset);
-    let parallel = Disassociator::try_new(DisassociationConfig {
-        parallel: true,
-        ..base
-    })
-    .expect("valid disassociation configuration")
-    .anonymize(&dataset);
+    let run = |threads: usize| {
+        let mut source = DatasetSource::new(&dataset, 1_000);
+        let mut sink = CollectSink::for_config(&config);
+        let summary = Pipeline::new(config.clone())
+            .source(&mut source)
+            .sink(&mut sink)
+            .threads(threads)
+            .run()
+            .expect("pipeline run");
+        assert_eq!(summary.batches, 4);
+        sink.into_output()
+    };
+    let serial = run(1);
+    let parallel = run(2);
     assert_eq!(serial.dataset, parallel.dataset);
+    assert_eq!(serial.cluster_assignment, parallel.cluster_assignment);
 }
 
 #[test]

@@ -11,9 +11,7 @@
 //!    itself stays intact and scannable.
 //! 3. **Determinism regression** — `threads(4)` output is byte-identical to
 //!    `threads(1)` and to the in-memory `CollectSink` path for the same
-//!    batch size, over both in-memory and store-backed sources.  (The
-//!    deprecated PR 2 `stream` shims prove their own bit-compatibility in
-//!    `crates/core/src/stream.rs`.)
+//!    batch size, over both in-memory and store-backed sources.
 
 #![deny(deprecated)]
 
@@ -259,7 +257,7 @@ fn dev_full_surfaces_as_a_typed_sink_error() {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Determinism: threads(4) == threads(1) == PR 2 shims, byte for byte
+// 3. Determinism: threads(4) == threads(1), byte for byte
 // ---------------------------------------------------------------------------
 
 #[test]

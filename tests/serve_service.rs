@@ -64,7 +64,8 @@ fn run_cli(line: &str) -> Vec<u8> {
 /// The acceptance-criteria round trip: records ingested over the socket,
 /// anonymized by the service, and the fetched publication is byte-identical
 /// to what `disassoc ingest` + `disassoc anonymize --store` write for the
-/// same records and batch size.
+/// same records and batch size.  The batch size splits the records into six
+/// batches, so the daemon's pipeline runs them on several workers.
 #[test]
 fn served_publication_is_byte_identical_to_the_cli_batch_path() {
     let dataset = quest(700, 90, 11);
@@ -75,8 +76,9 @@ fn served_publication_is_byte_identical_to_the_cli_batch_path() {
     let (addr, shutdown, join) = spawn_server(&data_dir, ServeConfig::default());
     let ingest = client::post(addr, "/datasets/d/records", &body).unwrap();
     assert_eq!(ingest.status, 200, "{}", ingest.text());
-    let anon = client::post(addr, "/datasets/d/anonymize?k=3&m=2", b"").unwrap();
+    let anon = client::post(addr, "/datasets/d/anonymize?k=3&m=2&batch-size=128", b"").unwrap();
     assert_eq!(anon.status, 200, "{}", anon.text());
+    assert!(anon.text().contains("\"batches\":6"), "{}", anon.text());
     let fetched = client::get(addr, "/datasets/d/chunks").unwrap();
     assert_eq!(fetched.status, 200);
     shutdown.shutdown();
@@ -94,7 +96,7 @@ fn served_publication_is_byte_identical_to_the_cli_batch_path() {
         store.display()
     ));
     run_cli(&format!(
-        "anonymize --store {} --k 3 --m 2 --out-prefix {}",
+        "anonymize --store {} --k 3 --m 2 --batch-size 128 --out-prefix {}",
         store.display(),
         prefix.display()
     ));

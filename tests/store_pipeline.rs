@@ -12,10 +12,8 @@
 //!    size.  This is observed through an instrumented source, not asserted
 //!    from documentation.
 //!
-//! Everything here runs through `disassociation::pipeline::Pipeline` — the
-//! deprecated PR 2 `stream` shims keep their bit-compatibility proof in
-//! their own unit tests (`crates/core/src/stream.rs`).  The broader
-//! pipeline-API suite is `tests/pipeline_api.rs`.
+//! Everything here runs through `disassociation::pipeline::Pipeline`; the
+//! broader pipeline-API suite is `tests/pipeline_api.rs`.
 #![deny(deprecated)]
 
 use datagen::{QuestConfig, QuestGenerator};
