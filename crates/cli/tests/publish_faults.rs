@@ -110,6 +110,30 @@ fn a_crashed_rename_commit_preserves_the_previous_publication() {
 }
 
 #[test]
+fn a_bare_out_prefix_publishes_into_the_working_directory() {
+    // A bare file name has the empty path as its parent; the directory
+    // fsync after the commit rename must resolve it to the working
+    // directory rather than fail the run.
+    let dir = tmpdir("bare_prefix");
+    let input = generate_input(&dir);
+    let out = Command::new(env!("CARGO_BIN_EXE_disassoc"))
+        .current_dir(&dir)
+        .env_remove(disassoc_faults::ENV_VAR)
+        .args(["anonymize", "--input", "input.txt", "--k", "3", "--m", "2"])
+        .args(["--out-prefix", "pub"])
+        .output()
+        .expect("running anonymize");
+    assert!(
+        out.status.success(),
+        "bare --out-prefix must publish: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(dir.join("pub.chunks.json").is_file());
+    assert!(!dir.join("pub.chunks.json.partial").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn a_bad_fault_spec_is_a_usage_error() {
     let dir = tmpdir("bad_spec");
     let input = generate_input(&dir);

@@ -114,7 +114,8 @@ impl ChunkManifest {
 
 /// Commits a fully staged `.partial` file to its final path: fsync the
 /// staged bytes, atomically rename onto `final_path` (the commit point),
-/// then fsync the parent directory so the rename itself is durable.  The CLI's flat-file (non-chunked) publication routes through
+/// then fsync the parent directory so the rename itself is durable.  The
+/// CLI's flat-file (non-chunked) publication routes through
 /// here so the [`failpoints::CLI_SITES`] seam covers it: a crash anywhere
 /// leaves either the complete old publication or the complete new one.
 ///
