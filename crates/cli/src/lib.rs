@@ -430,18 +430,22 @@ one atomic manifest replace, so a crash leaves the old or the new chunk set,
 never a mix.
 
 `serve` runs the daemon: each dataset under --data-dir is its own locked
-store plus chunk publication, ingest is acknowledged only once WAL-durable,
-anonymize/append run on a bounded worker pool (503 + Retry-After over the
-per-dataset --queue-depth), and SIGTERM drains in-flight jobs, flushes every
-store, and exits 0.  Served publications are byte-identical to `anonymize`
-on the same records and batch size.  Jobs past --job-timeout-ms answer 504;
---trace streams the daemon's JSONL event trace for its whole lifetime.
+store plus chunk publication.  Ingest is acknowledged once the records are
+in the WAL: they survive kill -9, but the WAL is not fsynced per request,
+so power loss can drop them.  Anonymize/append run on a bounded worker
+pool (503 + Retry-After over the per-dataset --queue-depth), and SIGTERM
+drains in-flight jobs, flushes every store, and exits 0.  Served
+publications are byte-identical to `anonymize` on the same records and
+batch size.  Jobs past --job-timeout-ms answer 504; --trace streams the
+daemon's JSONL span/event trace for its whole lifetime.
 Setting DISASSOC_FAULTS arms the deterministic failpoint registry inside
 the daemon (testing only — see crates/faults/README.md for the syntax).
 
 OBS FLAGS — observability, off by default (zero-cost disabled path):
   --metrics-out FILE   write a JSON snapshot of every counter after the run
   --trace FILE         stream a JSONL trace of spans/events during the run
+                       (spans: core.horpart, core.verpart, core.refine per
+                       batch; cli.ingest / cli.append per command)
   --profile            print a human-readable counter summary on stdout
 Collection never changes the published output — chunk files are
 byte-identical with and without the flags.  `store-info` always lists the
@@ -455,6 +459,40 @@ full `caused by:` chain.
 /// Default batch size for store-backed streaming runs.
 pub const DEFAULT_STORE_BATCH: usize = 8192;
 
+/// The flags each subcommand accepts (space-separated, without the leading
+/// `--`); any other flag is a usage error, so a misspelt option cannot
+/// silently fall back to its default.
+const SUBCOMMAND_FLAGS: &[(&str, &str)] = &[
+    ("generate", "kind records domain avg-len scale seed out"),
+    ("stats", "input"),
+    (
+        "ingest",
+        "input store batch-size memtable compact metrics-out trace profile",
+    ),
+    (
+        "append",
+        "input store k m batch-size max-cluster-size no-refine max-dirty-frac \
+         publish out-prefix metrics-out trace profile",
+    ),
+    ("store-info", "store"),
+    (
+        "anonymize",
+        "input store k m batch-size max-cluster-size threads no-refine out-prefix \
+         metrics-out trace profile",
+    ),
+    ("reconstruct", "chunks out samples seed"),
+    (
+        "evaluate",
+        "input store k m batch-size threads metrics-out trace profile",
+    ),
+    (
+        "serve",
+        "listen data-dir workers queue-depth batch-size max-connections max-body-bytes \
+         read-timeout-ms write-timeout-ms job-timeout-ms trace",
+    ),
+    ("help", ""),
+];
+
 impl Command {
     /// Parses a command line (without the program name).
     pub fn parse(args: &[String]) -> Result<Command, CliError> {
@@ -462,6 +500,16 @@ impl Command {
         let sub = it.next().map(String::as_str).unwrap_or("help");
         let rest: Vec<String> = it.cloned().collect();
         let flags = parse_flags(&rest)?;
+        if let Some((_, known)) = SUBCOMMAND_FLAGS.iter().find(|(name, _)| *name == sub) {
+            if let Some(flag) = flags
+                .keys()
+                .find(|flag| !known.split_whitespace().any(|k| k == flag.as_str()))
+            {
+                return Err(CliError::Usage(format!(
+                    "unknown flag --{flag} for `{sub}` (see `disassoc help`)"
+                )));
+            }
+        }
         let get = |name: &str| flags.get(name).cloned();
         let req = |name: &str| {
             get(name).ok_or_else(|| CliError::Usage(format!("missing required flag --{name}")))
@@ -776,33 +824,37 @@ impl Command {
                 };
                 config.validate()?;
                 let session = obs.start()?;
-                // lint:allow(nondeterminism, "elapsed-seconds reporting on stdout; never reaches published bytes")
-                let t0 = std::time::Instant::now();
-                let mut st = open_existing_store(store)?;
-                let size = if *batch_size == 0 {
-                    DEFAULT_STORE_BATCH
-                } else {
-                    *batch_size
-                };
-                // Rebuild the incremental state from the store's current
-                // contents, then route the appended records into it: only
-                // the clusters they land in are re-anonymized, and only the
-                // batches holding those clusters are republished.
-                let mut pipeline = {
-                    let mut source = st.source(size);
-                    IncrementalPipeline::build(config.clone(), &mut source)?
-                };
-                let mut reader = ReaderSource::open(input, 0)?;
-                let mut new_records: Vec<Record> = Vec::new();
-                while let Some(batch) = reader.next_batch()? {
-                    new_records.extend(batch);
-                }
-                let options = AppendOptions {
-                    max_dirty_fraction: *max_dirty_fraction,
-                };
-                let outcome = pipeline.append_with(&new_records, &options);
-                st.append_batch(&new_records)?;
-                st.flush()?;
+                let (result, seconds) =
+                    disassoc_obs::trace::span(disassoc_obs::names::SPAN_CLI_APPEND, || {
+                        let mut st = open_existing_store(store)?;
+                        let size = if *batch_size == 0 {
+                            DEFAULT_STORE_BATCH
+                        } else {
+                            *batch_size
+                        };
+                        // Rebuild the incremental state from the store's
+                        // current contents, then route the appended records
+                        // into it: only the clusters they land in are
+                        // re-anonymized, and only the batches holding those
+                        // clusters are republished.
+                        let mut pipeline = {
+                            let mut source = st.source(size);
+                            IncrementalPipeline::build(config.clone(), &mut source)?
+                        };
+                        let mut reader = ReaderSource::open(input, 0)?;
+                        let mut new_records: Vec<Record> = Vec::new();
+                        while let Some(batch) = reader.next_batch()? {
+                            new_records.extend(batch);
+                        }
+                        let options = AppendOptions {
+                            max_dirty_fraction: *max_dirty_fraction,
+                        };
+                        let outcome = pipeline.append_with(&new_records, &options);
+                        st.append_batch(&new_records)?;
+                        st.flush()?;
+                        Ok::<_, CliError>((pipeline, outcome))
+                    });
+                let (mut pipeline, outcome) = result?;
                 writeln!(
                     out,
                     "appended {} records: {} clusters re-anonymized, {} reused untouched, \
@@ -813,7 +865,7 @@ impl Command {
                     outcome.new_clusters,
                     outcome.republished_chunks,
                     outcome.total_clusters,
-                    t0.elapsed().as_secs_f64()
+                    seconds
                 )?;
                 if let Some(dir) = publish {
                     let mut chunks = ChunkDir::open(dir)?;
@@ -872,39 +924,41 @@ impl Command {
                 obs,
             } => {
                 let session = obs.start()?;
-                // lint:allow(nondeterminism, "elapsed-seconds reporting on stdout; never reaches published bytes")
-                let t0 = std::time::Instant::now();
-                let mut st = Store::open(
-                    store,
-                    StoreConfig {
-                        memtable_capacity: (*memtable).max(1),
-                        ..StoreConfig::default()
-                    },
-                )?;
-                if st.recovered_records() > 0 {
-                    disassoc_obs::warn(
-                        disassoc_obs::names::WARN_STORE_WAL_RECOVERY,
-                        &format!(
-                            "recovered {} unsealed records from the write-ahead log",
-                            st.recovered_records()
-                        ),
-                        &[("records", Attr::U64(st.recovered_records()))],
-                    );
-                }
-                let before = st.len();
-                let mut reader = ReaderSource::open(input, (*batch_size).max(1))?;
-                while let Some(batch) = reader.next_batch()? {
-                    st.append_batch(&batch)?;
-                }
-                st.flush()?;
-                let ingested = st.len() - before;
+                let (result, seconds) =
+                    disassoc_obs::trace::span(disassoc_obs::names::SPAN_CLI_INGEST, || {
+                        let mut st = Store::open(
+                            store,
+                            StoreConfig {
+                                memtable_capacity: (*memtable).max(1),
+                                ..StoreConfig::default()
+                            },
+                        )?;
+                        if st.recovered_records() > 0 {
+                            disassoc_obs::warn(
+                                disassoc_obs::names::WARN_STORE_WAL_RECOVERY,
+                                &format!(
+                                    "recovered {} unsealed records from the write-ahead log",
+                                    st.recovered_records()
+                                ),
+                                &[("records", Attr::U64(st.recovered_records()))],
+                            );
+                        }
+                        let before = st.len();
+                        let mut reader = ReaderSource::open(input, (*batch_size).max(1))?;
+                        while let Some(batch) = reader.next_batch()? {
+                            st.append_batch(&batch)?;
+                        }
+                        st.flush()?;
+                        Ok::<_, CliError>((st, before))
+                    });
+                let (mut st, before) = result?;
                 writeln!(
                     out,
                     "ingested {} records into {} ({} total) in {:.2}s",
-                    ingested,
+                    st.len() - before,
                     store.display(),
                     st.len(),
-                    t0.elapsed().as_secs_f64()
+                    seconds
                 )?;
                 if *compact {
                     let stats = st.compact()?;
@@ -1259,6 +1313,41 @@ mod tests {
             Command::parse(&args("anonymize --input d.dat --k 5 --out-prefix pub")).unwrap_err();
         assert!(err.to_string().contains("--m"));
         assert_eq!(err.exit_code(), 2);
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors_naming_the_flag() {
+        for (line, flag) in [
+            (
+                "anonymize --input d.dat --k 5 --m 2 --thread 2 --out-prefix pub",
+                "--thread",
+            ),
+            (
+                "append --input d.dat --store s --k 5 --m 2 --max-dirty-fraction 0.5",
+                "--max-dirty-fraction",
+            ),
+            // Valid for another subcommand, still unknown here.
+            ("stats --input d.dat --k 5", "--k"),
+            (
+                "serve --listen 127.0.0.1:0 --data-dir d --profile",
+                "--profile",
+            ),
+        ] {
+            let err = Command::parse(&args(line)).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{line}");
+            assert!(err.to_string().contains(flag), "{line}: {err}");
+        }
+        // The real spellings parse.
+        match Command::parse(&args(
+            "append --input d.dat --store s --k 5 --m 2 --max-dirty-frac 0.5",
+        ))
+        .unwrap()
+        {
+            Command::Append {
+                max_dirty_fraction, ..
+            } => assert_eq!(max_dirty_fraction, 0.5),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

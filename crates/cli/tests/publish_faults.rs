@@ -116,10 +116,14 @@ fn a_bare_out_prefix_publishes_into_the_working_directory() {
     // directory rather than fail the run.
     let dir = tmpdir("bare_prefix");
     let input = generate_input(&dir);
+    let input_name = input.file_name().expect("input is a file path");
     let out = Command::new(env!("CARGO_BIN_EXE_disassoc"))
         .current_dir(&dir)
         .env_remove(disassoc_faults::ENV_VAR)
-        .args(["anonymize", "--input", "input.txt", "--k", "3", "--m", "2"])
+        .arg("anonymize")
+        .arg("--input")
+        .arg(input_name)
+        .args(["--k", "3", "--m", "2"])
         .args(["--out-prefix", "pub"])
         .output()
         .expect("running anonymize");

@@ -62,7 +62,8 @@ fn spawn_daemon(data_dir: &Path) -> (Child, SocketAddr) {
 
 /// POSTs `records_per_batch`-record batches in a loop until `stop` is
 /// raised or the daemon goes away; returns the number of *acknowledged*
-/// batches (a 200 means the records are WAL-durable).
+/// batches (a 200 means the records are in the WAL, so they survive kill -9;
+/// the WAL is not fsynced per request).
 fn ingest_until_stopped(
     addr: SocketAddr,
     stop: Arc<AtomicBool>,

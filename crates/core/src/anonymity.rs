@@ -14,8 +14,9 @@
 //!
 //! * the **dense engine** (default): the cluster domain is interned into
 //!   `u16` dense ids ([`transact::dense::DenseDomain`]), records become
-//!   fixed-width bitsets ([`transact::dense::BitRecord`]) so projection is a
-//!   word-wise `AND`, and combinations are counted under packed `u64` keys
+//!   fixed-width rows of `u64` words so projection is a word-wise `AND`
+//!   ([`transact::dense::bits_for_each_and`]), and combinations are counted
+//!   under packed `u64` keys
 //!   ([`transact::dense::PackedCombo`]) in a scratch map that is *cleared,
 //!   never reallocated*, across calls.  For the paper's default `m = 2` the
 //!   subset enumeration collapses entirely: a per-cluster **pair-count
@@ -41,8 +42,8 @@ use transact::itemset::{for_each_subset_containing, for_each_subset_up_to, subse
 use transact::{DenseDomain, Itemset, Record, TermId};
 
 /// Domain-size ceiling for the m = 2 pair-count triangle (above it the
-/// triangle would cost O(d²) memory; the checker switches to a sparse
-/// per-call counting array instead).
+/// triangle would cost O(d²) memory; the checker counts packed pairs per
+/// call instead).
 const TRIANGLE_MAX_DOMAIN: usize = 1024;
 
 /// Cap on the pre-allocated capacity of [`combination_counts`] (the subset
@@ -317,22 +318,6 @@ pub struct CheckerScratch {
     dense: Option<Box<DenseChecker>>,
 }
 
-/// The m = 2 counting strategy of the dense checker.
-#[derive(Debug)]
-enum PairCounts {
-    /// Full co-occurrence triangle, built once per cluster: `can_add(t)` is
-    /// one lookup per current-domain term.  Entry `(a, b)` with `a < b` is
-    /// the number of records containing both terms.
-    Triangle(Vec<u32>),
-    /// Sparse per-call counting (domains too large for the triangle):
-    /// `scratch[u]` accumulates the co-occurrence of `t` with `u` over the
-    /// records containing `t`; `touched` remembers which entries to reset.
-    Sparse {
-        scratch: Vec<u32>,
-        touched: Vec<u16>,
-    },
-}
-
 /// The dense-engine state behind [`IncrementalChecker`].
 ///
 /// Record bitsets are stored as **flat rows** of one shared `Vec<u64>`
@@ -360,9 +345,13 @@ struct DenseChecker {
     current_terms: Vec<TermId>,
     /// Current domain as sorted dense ids (only terms present in records).
     current_dense: Vec<u16>,
-    /// m = 2 fast path state.
-    pairs: Option<PairCounts>,
-    /// Packed-combination counting scratch (m ≥ 3): cleared, never
+    /// m = 2 fast path: the full co-occurrence triangle, built once per
+    /// cluster of at most [`TRIANGLE_MAX_DOMAIN`] terms, so `can_add(t)` is
+    /// one lookup per current-domain term.  Entry `(a, b)` with `a < b` is
+    /// the number of records containing both terms.  `None` for other `m`
+    /// and wider domains, which count packed combinations instead.
+    pairs: Option<Vec<u32>>,
+    /// Packed-combination counting scratch: cleared, never
     /// reallocated, across `can_add` calls.
     counts: ComboCountMap,
     /// Reusable buffer for a record's projected dense ids.
@@ -448,49 +437,26 @@ impl DenseChecker {
         self.group_count.clear();
         self.group_count.push(records.len() as u32);
         self.group_pending.clear();
-        self.pairs = if m == 2 && k > 1 {
-            Some(if self.domain.len() <= TRIANGLE_MAX_DOMAIN {
-                let mut tri = match self.pairs.take() {
-                    Some(PairCounts::Triangle(mut v)) => {
-                        v.clear();
-                        v
-                    }
-                    _ => Vec::new(),
-                };
-                tri.resize(
-                    self.domain.len() * self.domain.len().saturating_sub(1) / 2,
-                    0,
-                );
-                let ids = &mut self.scratch_ids;
-                for i in 0..self.n_records {
-                    let row = &self.bits[i * words..(i + 1) * words];
-                    ids.clear();
-                    bits_for_each(row, |d| ids.push(d));
-                    for j in 1..ids.len() {
-                        for l in 0..j {
-                            tri[tri_index(ids[l], ids[j])] += 1;
-                        }
+        let mut tri = self.pairs.take().unwrap_or_default();
+        self.pairs = (m == 2 && k > 1 && self.domain.len() <= TRIANGLE_MAX_DOMAIN).then(|| {
+            tri.clear();
+            tri.resize(
+                self.domain.len() * self.domain.len().saturating_sub(1) / 2,
+                0,
+            );
+            let ids = &mut self.scratch_ids;
+            for i in 0..self.n_records {
+                let row = &self.bits[i * words..(i + 1) * words];
+                ids.clear();
+                bits_for_each(row, |d| ids.push(d));
+                for j in 1..ids.len() {
+                    for l in 0..j {
+                        tri[tri_index(ids[l], ids[j])] += 1;
                     }
                 }
-                PairCounts::Triangle(tri)
-            } else {
-                let (mut scratch, touched) = match self.pairs.take() {
-                    Some(PairCounts::Sparse {
-                        mut scratch,
-                        mut touched,
-                    }) => {
-                        scratch.clear();
-                        touched.clear();
-                        (scratch, touched)
-                    }
-                    _ => (Vec::new(), Vec::new()),
-                };
-                scratch.resize(self.domain.len(), 0);
-                PairCounts::Sparse { scratch, touched }
-            })
-        } else {
-            None
-        };
+            }
+            tri
+        });
         self.current.clear();
         self.current.resize(words, 0);
         self.current_terms.clear();
@@ -526,41 +492,21 @@ impl DenseChecker {
         let words = self.words;
         let rows_with_t = &self.postings[self.postings_start[dt as usize] as usize
             ..self.postings_start[dt as usize + 1] as usize];
-        match &mut self.pairs {
+        match &self.pairs {
             // m = 2: the only new combinations are {t} (checked above) and
             // {t, u} for current-domain terms u.  Their counts are the plain
             // pair co-occurrences — independent of the current domain — so
             // the triangle answers each in O(1), earliest exit wins.
-            Some(PairCounts::Triangle(tri)) => {
+            Some(tri) => {
                 obs_counters::CORE_CHECKER_TRIALS_M2_TRIANGLE.inc();
                 self.current_dense.iter().all(|&u| {
                     let c = tri[tri_index(dt.min(u), dt.max(u))];
                     c == 0 || c as usize >= self.k
                 })
             }
-            Some(PairCounts::Sparse { scratch, touched }) => {
-                obs_counters::CORE_CHECKER_TRIALS_M2_SPARSE.inc();
-                touched.clear();
-                for &i in rows_with_t {
-                    let i = i as usize;
-                    let row = &self.bits[i * words..(i + 1) * words];
-                    bits_for_each_and(row, &self.current, |u| {
-                        if scratch[u as usize] == 0 {
-                            touched.push(u);
-                        }
-                        scratch[u as usize] += 1;
-                    });
-                }
-                let ok = touched
-                    .iter()
-                    .all(|&u| scratch[u as usize] as usize >= self.k);
-                for &u in touched.iter() {
-                    scratch[u as usize] = 0;
-                }
-                ok
-            }
-            // m ∈ 3..=PACK_ARITY: count every combination {t} ∪ S with
-            // S a non-empty subset of the projected record, |S| < m, under
+            // m ∈ 2..=PACK_ARITY without a triangle: count every combination
+            // {t} ∪ S with S a non-empty subset of the projected record,
+            // |S| < m, under
             // packed keys (S ascending, t in the last lane — canonical for a
             // fixed t).  The map is cleared, never reallocated.
             None => {
@@ -1089,8 +1035,8 @@ mod tests {
     }
 
     #[test]
-    fn sparse_pair_path_matches_triangle_beyond_the_domain_ceiling() {
-        // > TRIANGLE_MAX_DOMAIN distinct terms forces the sparse m = 2 path.
+    fn m2_packed_path_matches_reference_beyond_the_domain_ceiling() {
+        // > TRIANGLE_MAX_DOMAIN distinct terms: m = 2 counts packed pairs.
         let wide: Vec<u32> = (0..1100).collect();
         let mut records: Vec<Record> = vec![rec(&wide), rec(&wide)];
         records.push(rec(&[0, 1, 2]));

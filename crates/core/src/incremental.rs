@@ -38,16 +38,14 @@
 //! chunks were (re)written.
 
 use crate::error::Error;
-use crate::horpart::{
-    horizontal_partition, horizontal_partition_traced, merge_small_clusters,
-    merge_small_clusters_with_map, SplitTree,
-};
+use crate::horpart::{horizontal_partition, merge_small_clusters, SplitTree};
 use crate::model::{ClusterNode, DisassociatedDataset};
 use crate::pipeline::{BatchOutput, ChunkSink, RecordSource};
 use crate::refine::{WorkCluster, WorkNode};
 use crate::verpart::VerPartOptions;
-use crate::{DisassociationConfig, DisassociationOutput, Disassociator, PhaseTimings};
+use crate::{DisassociationConfig, DisassociationOutput, Disassociator, PhaseRun, PhaseTimings};
 use disassoc_obs::metrics::counters as obs_counters;
+use disassoc_obs::names as obs_names;
 use disassoc_obs::trace::{self as obs_trace, Attr};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -172,45 +170,15 @@ impl IncrementalRun {
     /// for incremental appends.  The published form equals
     /// `disassociator.anonymize(&dataset).dataset` byte for byte.
     pub fn build(disassociator: Disassociator, dataset: Dataset) -> Self {
-        let cfg = disassociator.config().clone();
-        // lint:allow(nondeterminism, "phase timing for the stats block; never reaches published bytes")
-        let t0 = std::time::Instant::now();
-        let (mut partition, mut tree) = horizontal_partition_traced(
-            &dataset,
-            cfg.effective_max_cluster_size(),
-            &cfg.sensitive_terms,
-        );
-        let map = merge_small_clusters_with_map(&mut partition, cfg.k);
-        tree.remap_clusters(&map);
-        let records: Vec<Record> = dataset.into_records();
-        // lint:allow(nondeterminism, "phase timing for the stats block; never reaches published bytes")
-        let t1 = std::time::Instant::now();
-
-        let vp_options = disassociator.verpart_options();
-        let work: Vec<WorkCluster> = partition
-            .clusters
-            .iter()
-            .enumerate()
-            .map(|(i, indices)| {
-                let cluster_records: Vec<Record> =
-                    indices.iter().map(|&idx| records[idx].clone()).collect();
-                disassociator.partition_one(i, indices, cluster_records, &vp_options)
-            })
-            .collect();
-        // lint:allow(nondeterminism, "phase timing for the stats block; never reaches published bytes")
-        let t2 = std::time::Instant::now();
-
-        let mut nodes: Vec<WorkNode> = work.into_iter().map(WorkNode::Simple).collect();
-        let mut refine_passes = 0usize;
-        let mut refine_converged = true;
-        if cfg.enable_refine {
-            let outcome = disassociator.refine_forest(nodes, 0);
-            nodes = outcome.nodes;
-            refine_passes = outcome.passes_used;
-            refine_converged = outcome.converged;
-        }
-        // lint:allow(nondeterminism, "phase timing for the stats block; never reaches published bytes")
-        let t3 = std::time::Instant::now();
+        // The phases consume the dataset; the run keeps every record for
+        // later re-splits, so they are cloned once, up front.
+        let records: Vec<Record> = dataset.records().to_vec();
+        let PhaseRun {
+            partition,
+            tree,
+            refined,
+            phases,
+        } = disassociator.run_phases(dataset);
 
         // Capture the retained state: clusters keep their HORPART index as
         // VerPart identity, nodes remember which slots compose them.  A
@@ -231,7 +199,8 @@ impl IncrementalRun {
                 record_indices: indices.clone(),
             })
             .collect();
-        let node_slots: Vec<NodeSlot> = nodes
+        let node_slots: Vec<NodeSlot> = refined
+            .nodes
             .into_iter()
             .map(|node| {
                 let members: Vec<usize> = node
@@ -262,13 +231,9 @@ impl IncrementalRun {
             nodes: node_slots,
             next_verpart_index,
             generation: 0,
-            phases: PhaseTimings {
-                horpart: (t1 - t0).as_secs_f64(),
-                verpart: (t2 - t1).as_secs_f64(),
-                refine: (t3 - t2).as_secs_f64(),
-            },
-            refine_passes,
-            refine_converged,
+            phases,
+            refine_passes: refined.passes_used,
+            refine_converged: refined.converged,
         }
     }
 
@@ -385,120 +350,122 @@ impl IncrementalRun {
         // allows, divert to the overflow set afterwards.  Dirtying a cluster
         // dirties its whole published node (a joint cluster's shared chunks
         // depend on every member), so the budget is charged per node-member.
-        // lint:allow(nondeterminism, "phase timing for the stats block; never reaches published bytes")
-        let t0 = std::time::Instant::now();
-        let slot_to_node = self.slot_to_node();
-        let mut absorbed: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        let mut overflow: Vec<usize> = Vec::new();
-        let mut dirty_nodes: BTreeSet<usize> = BTreeSet::new();
-        let mut dirty_members = 0usize;
-        for record in new_records {
-            let global = self.records.len();
-            self.records.push(record.clone());
-            match self.tree.route(record) {
-                None => overflow.push(global),
-                Some((slot, _)) => {
-                    obs_counters::INCR_ROUTED_RECORDS.inc();
-                    let node = slot_to_node[slot];
-                    if dirty_nodes.contains(&node) {
-                        absorbed.entry(slot).or_default().push(global);
-                    } else {
-                        let cost = self.nodes[node].members.len();
-                        if dirty_members + cost <= budget {
-                            dirty_nodes.insert(node);
-                            dirty_members += cost;
-                            absorbed.entry(slot).or_default().push(global);
-                        } else {
-                            obs_counters::INCR_BUDGET_OVERFLOWS.inc();
-                            overflow.push(global);
+        let ((mut absorbed, overflow, dirty_nodes, dirty_slots), horpart) =
+            obs_trace::span(obs_names::SPAN_CORE_HORPART, || {
+                let slot_to_node = self.slot_to_node();
+                let mut absorbed: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+                let mut overflow: Vec<usize> = Vec::new();
+                let mut dirty_nodes: BTreeSet<usize> = BTreeSet::new();
+                let mut dirty_members = 0usize;
+                for record in new_records {
+                    let global = self.records.len();
+                    self.records.push(record.clone());
+                    match self.tree.route(record) {
+                        None => overflow.push(global),
+                        Some((slot, _)) => {
+                            obs_counters::INCR_ROUTED_RECORDS.inc();
+                            let node = slot_to_node[slot];
+                            if dirty_nodes.contains(&node) {
+                                absorbed.entry(slot).or_default().push(global);
+                            } else {
+                                let cost = self.nodes[node].members.len();
+                                if dirty_members + cost <= budget {
+                                    dirty_nodes.insert(node);
+                                    dirty_members += cost;
+                                    absorbed.entry(slot).or_default().push(global);
+                                } else {
+                                    obs_counters::INCR_BUDGET_OVERFLOWS.inc();
+                                    overflow.push(global);
+                                }
+                            }
                         }
                     }
                 }
-            }
-        }
+                let dirty_slots: BTreeSet<usize> = dirty_nodes
+                    .iter()
+                    .flat_map(|&n| self.nodes[n].members.iter().copied())
+                    .collect();
+                (absorbed, overflow, dirty_nodes, dirty_slots)
+            });
+        let dirty_count = dirty_slots.len();
 
         // Phase 2: rebuild the dirty slots (VERPART with their retained seed
         // identity), re-splitting any cluster the absorption pushed past the
         // HORPART size bound, then partition the overflow into new clusters.
-        let dirty_slots: BTreeSet<usize> = dirty_nodes
-            .iter()
-            .flat_map(|&n| self.nodes[n].members.iter().copied())
-            .collect();
-        let dirty_count = dirty_slots.len();
-        // lint:allow(nondeterminism, "phase timing for the stats block; never reaches published bytes")
-        let t1 = std::time::Instant::now();
-        let vp_options = self.disassociator.verpart_options();
-        let mut work: Vec<WorkCluster> = Vec::new();
-        let mut touched_slots: Vec<usize> = Vec::new();
-        let mut new_clusters = 0usize;
-        for &slot in &dirty_slots {
-            let mut indices = std::mem::take(&mut self.slots[slot].record_indices);
-            if let Some(extra) = absorbed.remove(&slot) {
-                indices.extend(extra);
-            }
-            if indices.len() > cfg.effective_max_cluster_size() {
-                // Local re-split with the same HORPART criteria; the first
-                // sub-cluster inherits the slot (and its routing leaf), the
-                // rest become new clusters.
-                let local = Dataset::from_records(
-                    indices.iter().map(|&g| self.records[g].clone()).collect(),
-                );
-                let mut part = horizontal_partition(
-                    &local,
-                    cfg.effective_max_cluster_size(),
-                    &cfg.sensitive_terms,
-                );
-                merge_small_clusters(&mut part, cfg.k);
-                for (j, local_indices) in part.clusters.iter().enumerate() {
-                    let global: Vec<usize> = local_indices.iter().map(|&li| indices[li]).collect();
-                    let target = if j == 0 { slot } else { self.new_slot() };
-                    if j > 0 {
-                        new_clusters += 1;
+        let ((work, touched_slots, new_clusters), verpart) =
+            obs_trace::span(obs_names::SPAN_CORE_VERPART, || {
+                let vp_options = self.disassociator.verpart_options();
+                let mut work: Vec<WorkCluster> = Vec::new();
+                let mut touched_slots: Vec<usize> = Vec::new();
+                let mut new_clusters = 0usize;
+                for &slot in &dirty_slots {
+                    let mut indices = std::mem::take(&mut self.slots[slot].record_indices);
+                    if let Some(extra) = absorbed.remove(&slot) {
+                        indices.extend(extra);
                     }
-                    self.slots[target].record_indices = global;
-                    work.push(self.build_work_cluster(target, &vp_options));
-                    touched_slots.push(target);
+                    if indices.len() > cfg.effective_max_cluster_size() {
+                        // Local re-split with the same HORPART criteria; the
+                        // first sub-cluster inherits the slot (and its
+                        // routing leaf), the rest become new clusters.
+                        let local = Dataset::from_records(
+                            indices.iter().map(|&g| self.records[g].clone()).collect(),
+                        );
+                        let mut part = horizontal_partition(
+                            &local,
+                            cfg.effective_max_cluster_size(),
+                            &cfg.sensitive_terms,
+                        );
+                        merge_small_clusters(&mut part, cfg.k);
+                        for (j, local_indices) in part.clusters.iter().enumerate() {
+                            let global: Vec<usize> =
+                                local_indices.iter().map(|&li| indices[li]).collect();
+                            let target = if j == 0 { slot } else { self.new_slot() };
+                            if j > 0 {
+                                new_clusters += 1;
+                            }
+                            self.slots[target].record_indices = global;
+                            work.push(self.build_work_cluster(target, &vp_options));
+                            touched_slots.push(target);
+                        }
+                    } else {
+                        self.slots[slot].record_indices = indices;
+                        work.push(self.build_work_cluster(slot, &vp_options));
+                        touched_slots.push(slot);
+                    }
                 }
-            } else {
-                self.slots[slot].record_indices = indices;
-                work.push(self.build_work_cluster(slot, &vp_options));
-                touched_slots.push(slot);
-            }
-        }
-        if !overflow.is_empty() {
-            let local =
-                Dataset::from_records(overflow.iter().map(|&g| self.records[g].clone()).collect());
-            let mut part = horizontal_partition(
-                &local,
-                cfg.effective_max_cluster_size(),
-                &cfg.sensitive_terms,
-            );
-            merge_small_clusters(&mut part, cfg.k);
-            for local_indices in &part.clusters {
-                let global: Vec<usize> = local_indices.iter().map(|&li| overflow[li]).collect();
-                let target = self.new_slot();
-                new_clusters += 1;
-                self.slots[target].record_indices = global;
-                work.push(self.build_work_cluster(target, &vp_options));
-                touched_slots.push(target);
-            }
-        }
-        // lint:allow(nondeterminism, "phase timing for the stats block; never reaches published bytes")
-        let t2 = std::time::Instant::now();
+                if !overflow.is_empty() {
+                    let local = Dataset::from_records(
+                        overflow.iter().map(|&g| self.records[g].clone()).collect(),
+                    );
+                    let mut part = horizontal_partition(
+                        &local,
+                        cfg.effective_max_cluster_size(),
+                        &cfg.sensitive_terms,
+                    );
+                    merge_small_clusters(&mut part, cfg.k);
+                    for local_indices in &part.clusters {
+                        let global: Vec<usize> =
+                            local_indices.iter().map(|&li| overflow[li]).collect();
+                        let target = self.new_slot();
+                        new_clusters += 1;
+                        self.slots[target].record_indices = global;
+                        work.push(self.build_work_cluster(target, &vp_options));
+                        touched_slots.push(target);
+                    }
+                }
+                (work, touched_slots, new_clusters)
+            });
 
         // Phase 3: refine the rebuilt forest among itself.  Clean nodes keep
         // their verified structure; the dirty generation gets its own RNG
         // stream so repeated appends stay deterministic.
-        let mut nodes: Vec<WorkNode> = work.into_iter().map(WorkNode::Simple).collect();
-        if cfg.enable_refine && !nodes.is_empty() {
-            let salt = self.generation.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let outcome = self.disassociator.refine_forest(nodes, salt);
-            nodes = outcome.nodes;
-            self.refine_passes = self.refine_passes.max(outcome.passes_used);
-            self.refine_converged &= outcome.converged;
-        }
-        // lint:allow(nondeterminism, "phase timing for the stats block; never reaches published bytes")
-        let t3 = std::time::Instant::now();
+        let salt = self.generation.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let (refined, refine) = obs_trace::span(obs_names::SPAN_CORE_REFINE, || {
+            self.disassociator
+                .refine_forest(work.into_iter().map(WorkNode::Simple).collect(), salt)
+        });
+        self.refine_passes = self.refine_passes.max(refined.passes_used);
+        self.refine_converged &= refined.converged;
 
         // Phase 4: swap the publication — drop the dissolved dirty nodes,
         // keep every clean node untouched, append the rebuilt ones.
@@ -513,7 +480,7 @@ impl IncrementalRun {
             .collect();
         self.nodes = keep;
         let mut republished = 0usize;
-        for node in nodes {
+        for node in refined.nodes {
             let members: Vec<usize> = node
                 .simple_clusters()
                 .iter()
@@ -532,9 +499,9 @@ impl IncrementalRun {
         }
 
         self.phases.accumulate(PhaseTimings {
-            horpart: (t1 - t0).as_secs_f64(),
-            verpart: (t2 - t1).as_secs_f64(),
-            refine: (t3 - t2).as_secs_f64(),
+            horpart,
+            verpart,
+            refine,
         });
         obs_counters::INCR_DIRTY_CLUSTERS.add(dirty_count as u64);
         let outcome = AppendOutcome {

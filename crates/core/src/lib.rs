@@ -75,8 +75,11 @@ pub use pipeline::{BatchOutput, ChunkSink, Pipeline, RecordSource, RunSummary};
 pub use reconstruct::{reconstruct, reconstruct_many};
 
 use disassoc_obs::metrics::counters as obs_counters;
+use disassoc_obs::names as obs_names;
 use disassoc_obs::trace::{self as obs_trace, Attr};
-use horpart::horizontal_partition;
+use horpart::{
+    horizontal_partition_traced, merge_small_clusters_with_map, HorizontalPartition, SplitTree,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use refine::{refine, RefineOptions, RefineOutcome, WorkCluster, WorkNode};
@@ -153,9 +156,10 @@ impl DisassociationConfig {
     }
 }
 
-/// Wall-clock duration of the pipeline's three phases, in seconds, with a
-/// named field per phase so serialized forms are self-describing (replaces a
-/// positional `[f64; 3]`).
+/// Wall-clock duration of the pipeline's three phases, in seconds: the
+/// durations of the `core.horpart`, `core.verpart` and `core.refine` trace
+/// spans, with a named field per phase so serialized forms are
+/// self-describing.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct PhaseTimings {
     /// Horizontal partitioning (clustering + small-cluster merging).
@@ -178,6 +182,18 @@ impl PhaseTimings {
         self.verpart += other.verpart;
         self.refine += other.refine;
     }
+}
+
+/// The three phases of one full anonymization run, before publication.
+pub(crate) struct PhaseRun {
+    /// HORPART's clusters (record indices), small ones merged.
+    pub(crate) partition: HorizontalPartition,
+    /// HORPART's split tree, its leaves pointing at `partition`'s clusters.
+    pub(crate) tree: SplitTree,
+    /// REFINE's forest, pass count and convergence flag.
+    pub(crate) refined: RefineOutcome,
+    /// The phase spans' durations.
+    pub(crate) phases: PhaseTimings,
 }
 
 /// The result of a disassociation run.
@@ -257,101 +273,34 @@ impl Disassociator {
     /// `vertical_partition`, then owned by the [`WorkCluster`] the refining
     /// step reads).  This is the entry point the batch pipeline uses.
     pub fn anonymize_owned(&self, dataset: Dataset) -> DisassociationOutput {
-        let cfg = &self.config;
-        // lint:allow(nondeterminism, "phase timing for the stats block; never reaches published bytes")
-        let t0 = std::time::Instant::now();
-
-        // Phase 1: horizontal partitioning.  Clusters smaller than k are
-        // folded into a neighbour: the Lemma 1/2 padding arguments need at
-        // least k records per cluster.
-        let mut partition = horizontal_partition(
-            &dataset,
-            cfg.effective_max_cluster_size(),
-            &cfg.sensitive_terms,
-        );
-        horpart::merge_small_clusters(&mut partition, cfg.k);
-        // lint:allow(nondeterminism, "phase timing for the stats block; never reaches published bytes")
-        let t1 = std::time::Instant::now();
-        obs_counters::CORE_ANONYMIZE_RUNS.inc();
-        obs_counters::CORE_HORPART_CLUSTERS.add(partition.len() as u64);
-
-        // Move every record into its cluster (the clusters partition the
-        // record indices, so each slot is taken exactly once).
-        let mut slots: Vec<Option<transact::Record>> =
-            dataset.into_records().into_iter().map(Some).collect();
-        let cluster_records: Vec<Vec<transact::Record>> = partition
-            .clusters
+        let PhaseRun {
+            refined, phases, ..
+        } = self.run_phases(dataset);
+        let cluster_assignment: Vec<Vec<usize>> = refined
+            .nodes
             .iter()
-            .map(|indices| {
-                indices
-                    .iter()
-                    .map(|&idx| {
-                        slots[idx]
-                            .take()
-                            // lint:allow(panic, "the partition is a permutation of record indices, so each slot is taken exactly once")
-                            .expect("horizontal partition assigns each record to one cluster")
-                    })
-                    .collect()
+            .flat_map(|node| {
+                node.simple_clusters()
+                    .into_iter()
+                    .map(|wc| wc.record_indices.clone())
             })
             .collect();
-        drop(slots);
-
-        // Phase 2: vertical partitioning, cluster by cluster.
-        let vp_options = self.verpart_options();
-        let clusters: Vec<WorkCluster> = partition
-            .clusters
-            .iter()
-            .zip(cluster_records)
-            .enumerate()
-            .map(|(i, (indices, records))| self.partition_one(i, indices, records, &vp_options))
-            .collect();
-        // lint:allow(nondeterminism, "phase timing for the stats block; never reaches published bytes")
-        let t2 = std::time::Instant::now();
-
-        // Phase 3: refining.
-        let mut nodes: Vec<WorkNode> = clusters.into_iter().map(WorkNode::Simple).collect();
-        let mut refine_passes = 0usize;
-        let mut refine_converged = true;
-        if cfg.enable_refine {
-            let outcome = self.refine_forest(nodes, 0);
-            nodes = outcome.nodes;
-            refine_passes = outcome.passes_used;
-            refine_converged = outcome.converged;
-        }
-        // lint:allow(nondeterminism, "phase timing for the stats block; never reaches published bytes")
-        let t3 = std::time::Instant::now();
-        obs_counters::CORE_REFINE_PASSES.add(refine_passes as u64);
-        if !refine_converged {
-            obs_counters::CORE_REFINE_CAPPED.inc();
-        }
-
-        // Assemble the published dataset and the assignment bookkeeping.
-        let mut cluster_assignment = Vec::new();
-        for node in &nodes {
-            for wc in node.simple_clusters() {
-                cluster_assignment.push(wc.record_indices.clone());
-            }
-        }
         let dataset = DisassociatedDataset {
-            k: cfg.k,
-            m: cfg.m,
-            clusters: nodes.into_iter().map(WorkNode::into_cluster_node).collect(),
-        };
-        let phases = PhaseTimings {
-            horpart: (t1 - t0).as_secs_f64(),
-            verpart: (t2 - t1).as_secs_f64(),
-            refine: (t3 - t2).as_secs_f64(),
+            k: self.config.k,
+            m: self.config.m,
+            clusters: refined
+                .nodes
+                .into_iter()
+                .map(WorkNode::into_cluster_node)
+                .collect(),
         };
         if obs_trace::enabled() {
             obs_trace::event(
-                disassoc_obs::names::EVENT_CORE_ANONYMIZE,
+                obs_names::EVENT_CORE_ANONYMIZE,
                 &[
                     ("records", Attr::U64(dataset.total_records() as u64)),
                     ("clusters", Attr::U64(cluster_assignment.len() as u64)),
-                    ("refine_passes", Attr::U64(refine_passes as u64)),
-                    ("horpart_s", Attr::F64(phases.horpart)),
-                    ("verpart_s", Attr::F64(phases.verpart)),
-                    ("refine_s", Attr::F64(phases.refine)),
+                    ("refine_passes", Attr::U64(refined.passes_used as u64)),
                 ],
             );
         }
@@ -359,8 +308,75 @@ impl Disassociator {
             dataset,
             cluster_assignment,
             phases,
-            refine_passes,
-            refine_converged,
+            refine_passes: refined.passes_used,
+            refine_converged: refined.converged,
+        }
+    }
+
+    /// Runs HORPART → VERPART → REFINE over `dataset`, one trace span per
+    /// phase, whose durations make up [`PhaseRun::phases`].  The records
+    /// are moved into their clusters, never cloned.
+    pub(crate) fn run_phases(&self, dataset: Dataset) -> PhaseRun {
+        let cfg = &self.config;
+        // Phase 1: horizontal partitioning.  Clusters smaller than k are
+        // folded into a neighbour: the Lemma 1/2 padding arguments need at
+        // least k records per cluster.  The split tree follows the merge so
+        // appends can route through it.
+        let ((partition, tree), horpart) = obs_trace::span(obs_names::SPAN_CORE_HORPART, || {
+            let (mut partition, mut tree) = horizontal_partition_traced(
+                &dataset,
+                cfg.effective_max_cluster_size(),
+                &cfg.sensitive_terms,
+            );
+            tree.remap_clusters(&merge_small_clusters_with_map(&mut partition, cfg.k));
+            (partition, tree)
+        });
+        obs_counters::CORE_ANONYMIZE_RUNS.inc();
+        obs_counters::CORE_HORPART_CLUSTERS.add(partition.len() as u64);
+
+        // Phase 2: vertical partitioning, cluster by cluster.  Every record
+        // moves into its cluster (the clusters partition the record
+        // indices, so each slot is taken exactly once).
+        let (clusters, verpart) = obs_trace::span(obs_names::SPAN_CORE_VERPART, || {
+            let mut slots: Vec<Option<transact::Record>> =
+                dataset.into_records().into_iter().map(Some).collect();
+            let vp_options = self.verpart_options();
+            partition
+                .clusters
+                .iter()
+                .enumerate()
+                .map(|(i, indices)| {
+                    let records = indices
+                        .iter()
+                        .map(|&idx| {
+                            slots[idx]
+                                .take()
+                                // lint:allow(panic, "the partition is a permutation of record indices, so each slot is taken exactly once")
+                                .expect("horizontal partition assigns each record to one cluster")
+                        })
+                        .collect();
+                    self.partition_one(i, indices, records, &vp_options)
+                })
+                .collect::<Vec<WorkCluster>>()
+        });
+
+        // Phase 3: refining.
+        let (refined, refine) = obs_trace::span(obs_names::SPAN_CORE_REFINE, || {
+            self.refine_forest(clusters.into_iter().map(WorkNode::Simple).collect(), 0)
+        });
+        obs_counters::CORE_REFINE_PASSES.add(refined.passes_used as u64);
+        if !refined.converged {
+            obs_counters::CORE_REFINE_CAPPED.inc();
+        }
+        PhaseRun {
+            partition,
+            tree,
+            refined,
+            phases: PhaseTimings {
+                horpart,
+                verpart,
+                refine,
+            },
         }
     }
 
@@ -373,11 +389,19 @@ impl Disassociator {
         }
     }
 
-    /// Runs REFINE over `nodes` under this configuration.  `salt` is mixed
-    /// into the REFINE seed: `0` for a full run, a per-generation value for
-    /// an incremental append.
+    /// Runs REFINE over `nodes` under this configuration, or returns them
+    /// untouched (zero passes, converged) when refining is disabled.  `salt`
+    /// is mixed into the REFINE seed: `0` for a full run, a per-generation
+    /// value for an incremental append.
     pub(crate) fn refine_forest(&self, nodes: Vec<WorkNode>, salt: u64) -> RefineOutcome {
         let cfg = &self.config;
+        if !cfg.enable_refine {
+            return RefineOutcome {
+                nodes,
+                passes_used: 0,
+                converged: true,
+            };
+        }
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5EED_2EF1 ^ salt);
         let mut options = RefineOptions {
             excluded_terms: cfg.sensitive_terms.clone(),

@@ -6,8 +6,9 @@
 //! a wall clock or OS randomness leaks into an output-affecting path, and
 //! such leaks are invisible in review — `Instant::now()` looks harmless.
 //!
-//! Shipped code may read clocks only in allowlisted timing modules
-//! (tracing timestamps, serve deadlines) or under an explicit
+//! Shipped code may read clocks only in allowlisted timing modules (the
+//! workspace allowlists the trace module, whose spans time everything) or
+//! under an explicit
 //! `// lint:allow(nondeterminism, "...")` stating why the value never
 //! reaches published bytes.  Test code is exempt.
 

@@ -122,7 +122,7 @@ fn dl005_clean_seeded_rngs_and_annotated_timing_pass() {
 
 #[test]
 fn dl005_allowlisted_timing_modules_are_exempt() {
-    let findings = lint_fixture("dl005_violation.rs", "crates/serve/src/retry.rs");
+    let findings = lint_fixture("dl005_violation.rs", "crates/obs/src/trace.rs");
     assert!(!findings.iter().any(|f| f.rule == "DL005"), "{findings:#?}");
 }
 
@@ -132,6 +132,7 @@ fn the_registry_holds_catalog_and_trace_names() {
     let registry = linter.registry();
     assert!(registry.contains("core.anonymize_runs"), "catalog counter");
     assert!(registry.contains("core.anonymize"), "trace event name");
+    assert!(registry.contains("core.horpart"), "trace span name");
     assert!(registry.contains("refine.pass_cap"), "warning name");
     assert!(registry.len() >= 20, "registry too small: {registry:?}");
 }

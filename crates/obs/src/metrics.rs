@@ -241,7 +241,6 @@ pub mod counters {
         CORE_JOINS_REJECTED_EQ1 => ("core.joins_rejected_eq1", "Join attempts rejected by the Equation-1 support test");
         // --- core: anonymity-checker trials by path -----------------------
         CORE_CHECKER_TRIALS_M2_TRIANGLE => ("core.checker_trials_m2_triangle", "Checker trials on the m=2 triangular pair-count path");
-        CORE_CHECKER_TRIALS_M2_SPARSE => ("core.checker_trials_m2_sparse", "Checker trials on the m=2 sparse pair-count path");
         CORE_CHECKER_TRIALS_PACKED => ("core.checker_trials_packed", "Checker trials on the packed m-combination path");
         CORE_CHECKER_TRIALS_FALLBACK => ("core.checker_trials_fallback", "Checker trials on the reference fallback path");
         // --- store --------------------------------------------------------

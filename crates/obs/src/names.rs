@@ -1,7 +1,7 @@
-//! Canonical trace-event and warning names.
+//! Canonical trace span, event and warning names.
 //!
 //! Instrument (counter/gauge/histogram) names live in the [`crate::metrics`]
-//! catalogs; the names of trace events and warnings — equally stable
+//! catalogs; the names of trace spans, events and warnings — equally stable
 //! identifiers, asserted on by integration tests and scraped from trace
 //! files — live here.  Together the two modules are the `disassoc-lint`
 //! DL004 registry: any obs-shaped name literal elsewhere in the workspace
@@ -11,7 +11,28 @@
 //! Instrumented code should reference these constants rather than repeat
 //! the literals.
 
-/// Per-run anonymization summary event (records, clusters, phase seconds).
+/// Span: horizontal partitioning of one batch (or one append's routing).
+pub const SPAN_CORE_HORPART: &str = "core.horpart";
+
+/// Span: vertical partitioning of one batch's (or one append's) clusters.
+pub const SPAN_CORE_VERPART: &str = "core.verpart";
+
+/// Span: refining of one batch's (or one append's) clusters.
+pub const SPAN_CORE_REFINE: &str = "core.refine";
+
+/// Span: a `disassoc ingest` run (store open, WAL appends, flush).
+pub const SPAN_CLI_INGEST: &str = "cli.ingest";
+
+/// Span: a `disassoc append` run (incremental rebuild, append, persist).
+pub const SPAN_CLI_APPEND: &str = "cli.append";
+
+/// Span: one daemon anonymize job (store scan, pipeline, publication).
+pub const SPAN_SERVE_ANONYMIZE_JOB: &str = "serve.anonymize_job";
+
+/// Span: one daemon append job (incremental rebuild, append, publication).
+pub const SPAN_SERVE_APPEND_JOB: &str = "serve.append_job";
+
+/// Per-run anonymization summary event (records, clusters, refine passes).
 pub const EVENT_CORE_ANONYMIZE: &str = "core.anonymize";
 
 /// Per-batch pipeline completion event (batch index, records, seconds).
@@ -26,8 +47,15 @@ pub const WARN_REFINE_PASS_CAP: &str = "refine.pass_cap";
 /// Warning: unsealed records were recovered from the write-ahead log.
 pub const WARN_STORE_WAL_RECOVERY: &str = "store.wal_recovery";
 
-/// Every registered trace/warning name, in declaration order.
+/// Every registered span/event/warning name, in declaration order.
 pub const ALL: &[&str] = &[
+    SPAN_CORE_HORPART,
+    SPAN_CORE_VERPART,
+    SPAN_CORE_REFINE,
+    SPAN_CLI_INGEST,
+    SPAN_CLI_APPEND,
+    SPAN_SERVE_ANONYMIZE_JOB,
+    SPAN_SERVE_APPEND_JOB,
     EVENT_CORE_ANONYMIZE,
     EVENT_PIPELINE_BATCH,
     EVENT_INCR_APPEND,

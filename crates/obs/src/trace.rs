@@ -5,7 +5,7 @@
 //!
 //! ```json
 //! {"ts_us": 1234, "tid": 1, "kind": "event", "name": "pipeline.batch", "attrs": {"batch": 0, "records": 256}}
-//! {"ts_us": 1234, "tid": 2, "kind": "span",  "name": "core.anonymize",  "dur_us": 1870, "attrs": {...}}
+//! {"ts_us": 1234, "tid": 2, "kind": "span",  "name": "core.refine",    "dur_us": 1870, "attrs": {}}
 //! {"ts_us": 1234, "tid": 1, "kind": "warn",  "name": "refine.pass_cap", "attrs": {"message": "...", ...}}
 //! ```
 //!
@@ -123,7 +123,7 @@ fn write_attrs(out: &mut String, attrs: &[(&str, Attr<'_>)]) {
 }
 
 /// Emits one trace record.  `kind` is `event`, `span`, or `warn`;
-/// `dur_us` is present for spans only.  Used by [`event`], [`Span`], and
+/// `dur_us` is present for spans only.  Used by [`event`], [`span`], and
 /// [`crate::warn`]; instrumented code normally calls those instead.
 pub(crate) fn record(kind: &str, name: &str, dur_us: Option<u64>, attrs: &[(&str, Attr<'_>)]) {
     record_at(now_us(), kind, name, dur_us, attrs);
@@ -159,58 +159,28 @@ pub fn event(name: &str, attrs: &[(&str, Attr<'_>)]) {
     }
 }
 
-/// An in-flight span.  Created by [`span`]; emits one `span` record with
-/// its start timestamp and duration when finished (explicitly via
-/// [`Span::finish`] with extra attributes, or on drop without them).
-pub struct Span {
-    // None when tracing was inactive at creation: the span is inert.
-    inner: Option<SpanInner>,
-}
-
-struct SpanInner {
-    name: String,
-    start_us: u64,
-    started: Instant,
-    done: bool,
-}
-
-/// Starts a span.  When tracing is inactive this returns an inert guard and
-/// costs one relaxed load.
-pub fn span(name: &str) -> Span {
-    if !enabled() {
-        return Span { inner: None };
+/// Runs `f` as a named span: returns its result and its wall-clock
+/// duration in seconds, and — when tracing is on — emits one `span` record
+/// stamped with the start time and the duration in `dur_us`.
+///
+/// This is the workspace's one timing mechanism: phase and job times are
+/// the returned seconds, so the trace and the stats a caller reports read
+/// the same clock.  With tracing off it costs two monotonic clock reads.
+pub fn span<T>(name: &str, f: impl FnOnce() -> T) -> (T, f64) {
+    let start_us = enabled().then(now_us);
+    let started = Instant::now();
+    let value = f();
+    let elapsed = started.elapsed();
+    if let Some(start_us) = start_us {
+        record_at(
+            start_us,
+            "span",
+            name,
+            Some(elapsed.as_micros() as u64),
+            &[],
+        );
     }
-    Span {
-        inner: Some(SpanInner {
-            name: name.to_string(),
-            start_us: now_us(),
-            started: Instant::now(),
-            done: false,
-        }),
-    }
-}
-
-impl Span {
-    /// Finishes the span now, attaching `attrs` to the emitted record.
-    pub fn finish(mut self, attrs: &[(&str, Attr<'_>)]) {
-        if let Some(inner) = self.inner.as_mut() {
-            inner.done = true;
-            let dur = inner.started.elapsed().as_micros() as u64;
-            record_at(inner.start_us, "span", &inner.name, Some(dur), attrs);
-        }
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some(inner) = self.inner.as_mut() {
-            if !inner.done {
-                inner.done = true;
-                let dur = inner.started.elapsed().as_micros() as u64;
-                record_at(inner.start_us, "span", &inner.name, Some(dur), &[]);
-            }
-        }
-    }
+    (value, elapsed.as_secs_f64())
 }
 
 #[cfg(test)]
@@ -245,8 +215,9 @@ mod tests {
             "unit.event",
             &[("n", Attr::U64(3)), ("label", Attr::Str("a\"b"))],
         );
-        let s = span("unit.span");
-        s.finish(&[("ratio", Attr::F64(0.5))]);
+        let (value, seconds) = span("unit.span", || 7);
+        assert_eq!(value, 7);
+        assert!(seconds >= 0.0);
         crate::warn("unit.warn", "something happened", &[("code", Attr::U64(7))]);
         shutdown().unwrap();
 
@@ -256,8 +227,8 @@ mod tests {
         assert!(lines[0].contains("\"name\": \"unit.event\""));
         assert!(lines[0].contains("\"label\": \"a\\\"b\""));
         assert!(lines[1].contains("\"kind\": \"span\""));
+        assert!(lines[1].contains("\"name\": \"unit.span\""));
         assert!(lines[1].contains("\"dur_us\": "));
-        assert!(lines[1].contains("\"ratio\": 0.5"));
         assert!(lines[2].contains("\"kind\": \"warn\""));
         assert!(lines[2].contains("\"message\": \"something happened\""));
         for line in &lines {
@@ -273,9 +244,9 @@ mod tests {
             shutdown().unwrap();
         }
         event("unit.ignored", &[]);
-        let s = span("unit.ignored");
-        drop(s);
-        // Nothing to assert against directly (no sink); reaching here
-        // without panicking or blocking is the contract.
+        // An inert span still runs its body and reports the elapsed time.
+        let (value, seconds) = span("unit.ignored", || "ran");
+        assert_eq!(value, "ran");
+        assert!(seconds >= 0.0);
     }
 }

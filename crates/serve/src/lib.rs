@@ -11,7 +11,7 @@
 //!
 //! | Route | Effect |
 //! |---|---|
-//! | `POST /datasets/{name}/records` | ingest numeric-transaction lines into the dataset's WAL+memtable store (acknowledged = crash-durable) |
+//! | `POST /datasets/{name}/records` | ingest numeric-transaction lines into the dataset's WAL+memtable store (acknowledged = survives a process crash; the WAL is not fsynced per request, so not power loss) |
 //! | `POST /datasets/{name}/anonymize?k=&m=` | full re-anonymization through [`disassociation::Pipeline`], atomically republishing the chunk dir and flat publication |
 //! | `POST /datasets/{name}/append?k=&m=` | incremental append through [`disassociation::IncrementalPipeline`]; only dirty chunks are republished |
 //! | `GET /datasets/{name}/chunks[?term=]` | the publication — flat-file bytes verbatim, or term-filtered via the committed chunk batches |

@@ -20,7 +20,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::dataset::{DatasetHandle, Registry};
 use crate::error::ServeError;
@@ -29,6 +29,8 @@ use crate::jobs::{JobSubmitter, WorkerPool};
 use crate::retry::{self, RetrySchedule};
 use crate::signal;
 use disassoc_obs::metrics::{self, counters};
+use disassoc_obs::names;
+use disassoc_obs::trace as obs_trace;
 use disassociation::pipeline::{ChunkFileStats, JsonChunksSink, MultiSink};
 use disassociation::{AppendOptions, DisassociationConfig, Pipeline, RunSummary};
 use serde_json::Value;
@@ -526,35 +528,37 @@ fn anonymize_job(
     config: &DisassociationConfig,
     batch_size: usize,
 ) -> Result<Response, ServeError> {
-    let started = Instant::now();
-    let (summary, stats) = handle.with_store(|store| {
-        handle.with_publication(|chunk_dir| {
-            let partial = handle.dir().join("publication.chunks.json.partial");
-            let result = (|| -> Result<(RunSummary, ChunkFileStats), ServeError> {
-                let mut file_sink = JsonChunksSink::create(&partial, config)?;
-                let mut sinks = MultiSink::new();
-                sinks.push(chunk_dir);
-                sinks.push(&mut file_sink);
-                let mut source = store.source(batch_size);
-                let summary = Pipeline::new(config.clone())
-                    .source(&mut source)
-                    .sink(&mut sinks)
-                    .threads(0)
-                    .run()?;
-                Ok((summary, *file_sink.stats()))
-            })();
-            match result {
-                Ok(ok) => {
-                    std::fs::rename(&partial, handle.publication_path())?;
-                    Ok(ok)
+    let (result, seconds) = obs_trace::span(names::SPAN_SERVE_ANONYMIZE_JOB, || {
+        handle.with_store(|store| {
+            handle.with_publication(|chunk_dir| {
+                let partial = handle.dir().join("publication.chunks.json.partial");
+                let result = (|| -> Result<(RunSummary, ChunkFileStats), ServeError> {
+                    let mut file_sink = JsonChunksSink::create(&partial, config)?;
+                    let mut sinks = MultiSink::new();
+                    sinks.push(chunk_dir);
+                    sinks.push(&mut file_sink);
+                    let mut source = store.source(batch_size);
+                    let summary = Pipeline::new(config.clone())
+                        .source(&mut source)
+                        .sink(&mut sinks)
+                        .threads(0)
+                        .run()?;
+                    Ok((summary, *file_sink.stats()))
+                })();
+                match result {
+                    Ok(ok) => {
+                        std::fs::rename(&partial, handle.publication_path())?;
+                        Ok(ok)
+                    }
+                    Err(e) => {
+                        std::fs::remove_file(&partial).ok();
+                        Err(e)
+                    }
                 }
-                Err(e) => {
-                    std::fs::remove_file(&partial).ok();
-                    Err(e)
-                }
-            }
+            })
         })
-    })?;
+    });
+    let (summary, stats) = result?;
     Ok(Response::json(
         200,
         obj(vec![
@@ -565,7 +569,7 @@ fn anonymize_job(
             ("record_chunks", Value::Int(stats.record_chunks as i128)),
             ("shared_chunks", Value::Int(stats.shared_chunks as i128)),
             ("refine_converged", Value::Bool(stats.refine_converged)),
-            ("seconds", Value::Float(started.elapsed().as_secs_f64())),
+            ("seconds", Value::Float(seconds)),
         ]),
     ))
 }
@@ -623,39 +627,41 @@ fn append_job(
     max_dirty_fraction: f64,
     records: &[Record],
 ) -> Result<Response, ServeError> {
-    let started = Instant::now();
-    let outcome = handle.with_store(|store| {
-        let mut pipeline = {
-            let mut source = store.source(batch_size);
-            disassociation::IncrementalPipeline::build(config.clone(), &mut source)?
-        };
-        let options = AppendOptions { max_dirty_fraction };
-        let outcome = pipeline.append_with(records, &options);
-        store.append_batch(records)?;
-        store.flush()?;
-        handle.with_publication(|chunk_dir| {
-            if chunk_dir.is_empty() {
-                pipeline.publish_all(chunk_dir)?;
-            } else {
-                pipeline.publish_dirty(chunk_dir)?;
+    let (result, seconds) = obs_trace::span(names::SPAN_SERVE_APPEND_JOB, || {
+        handle.with_store(|store| {
+            let mut pipeline = {
+                let mut source = store.source(batch_size);
+                disassociation::IncrementalPipeline::build(config.clone(), &mut source)?
+            };
+            let options = AppendOptions { max_dirty_fraction };
+            let outcome = pipeline.append_with(records, &options);
+            store.append_batch(records)?;
+            store.flush()?;
+            handle.with_publication(|chunk_dir| {
+                if chunk_dir.is_empty() {
+                    pipeline.publish_all(chunk_dir)?;
+                } else {
+                    pipeline.publish_dirty(chunk_dir)?;
+                }
+                Ok(())
+            })?;
+            let partial = handle.dir().join("publication.chunks.json.partial");
+            let result = (|| -> Result<(), ServeError> {
+                let mut file_sink = JsonChunksSink::create(&partial, config)?;
+                pipeline.publish_all(&mut file_sink)?;
+                Ok(())
+            })();
+            match result {
+                Ok(()) => std::fs::rename(&partial, handle.publication_path())?,
+                Err(e) => {
+                    std::fs::remove_file(&partial).ok();
+                    return Err(e);
+                }
             }
-            Ok(())
-        })?;
-        let partial = handle.dir().join("publication.chunks.json.partial");
-        let result = (|| -> Result<(), ServeError> {
-            let mut file_sink = JsonChunksSink::create(&partial, config)?;
-            pipeline.publish_all(&mut file_sink)?;
-            Ok(())
-        })();
-        match result {
-            Ok(()) => std::fs::rename(&partial, handle.publication_path())?,
-            Err(e) => {
-                std::fs::remove_file(&partial).ok();
-                return Err(e);
-            }
-        }
-        Ok(outcome)
-    })?;
+            Ok(outcome)
+        })
+    });
+    let outcome = result?;
     Ok(Response::json(
         200,
         obj(vec![
@@ -672,7 +678,7 @@ fn append_job(
                 Value::Int(outcome.republished_chunks as i128),
             ),
             ("total_clusters", Value::Int(outcome.total_clusters as i128)),
-            ("seconds", Value::Float(started.elapsed().as_secs_f64())),
+            ("seconds", Value::Float(seconds)),
         ]),
     ))
 }

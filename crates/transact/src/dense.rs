@@ -1,5 +1,5 @@
-//! Dense-domain combinatorics: cluster-local term interning, fixed-width
-//! bitset subrecords and packed combination keys.
+//! Dense-domain combinatorics: cluster-local term interning, word-slice
+//! bitset operations and packed combination keys.
 //!
 //! The k^m-anonymity hot path (VERPART's greedy chunk construction) operates
 //! on one *cluster* at a time, whose domain is tiny compared to the global
@@ -10,9 +10,9 @@
 //!   *dense ids* `0..d` (`u16`), assigned in ascending `TermId` order — so
 //!   dense-id order and term-id order agree and a sorted dense sequence
 //!   decodes to a sorted term sequence;
-//! * [`BitRecord`] represents a (sub)record as a fixed-width `u64`-word
-//!   bitset over the dense ids: projection becomes a word-wise `AND`,
-//!   membership a shift, support counting a popcount;
+//! * the `bits_*` functions operate on a (sub)record stored as a
+//!   fixed-width row of `u64` words over the dense ids: projection becomes a
+//!   word-wise `AND`, membership a shift;
 //! * [`PackedCombo`] packs up to [`PACK_ARITY`] dense ids into a single
 //!   `u64` hash-map key (16 bits per id, biased by 1 so `0` means "empty
 //!   lane"), replacing the heap-allocated `Vec<TermId>` itemset keys of the
@@ -118,23 +118,9 @@ impl DenseDomain {
         self.terms[d as usize]
     }
 
-    /// Number of `u64` words a [`BitRecord`] over this domain occupies.
+    /// Number of `u64` words a bitset row over this domain occupies.
     pub fn words(&self) -> usize {
         self.terms.len().div_ceil(64)
-    }
-
-    /// Encodes `record` as a bitset over this domain.
-    ///
-    /// Terms of the record outside the domain are ignored (useful when the
-    /// domain was built from a projection of the records).
-    pub fn bit_record(&self, record: &Record) -> BitRecord {
-        let mut bits = BitRecord::zeroed(self.words());
-        for t in record.iter() {
-            if let Some(d) = self.dense_of(t) {
-                bits.set(d);
-            }
-        }
-        bits
     }
 }
 
@@ -145,8 +131,7 @@ impl DenseDomain {
 // The checker hot path stores many same-width bitsets in one flat `Vec<u64>`
 // (rows of `DenseDomain::words()` words) so a pooled scratch buffer can be
 // reused across clusters without one boxed allocation per record.  These
-// free functions are the word-level loops both that layout and [`BitRecord`]
-// share.
+// free functions are the word-level loops over those rows.
 
 /// Sets bit `d` in a word slice.
 #[inline]
@@ -184,96 +169,6 @@ pub fn bits_for_each_and<F: FnMut(u16)>(a: &[u64], b: &[u64], mut f: F) {
             f((wi as u32 * 64 + bit) as u16);
             w &= w - 1;
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// BitRecord
-// ---------------------------------------------------------------------------
-
-/// A fixed-width bitset over the dense ids of one [`DenseDomain`].
-///
-/// All bit records produced for the same domain have the same width, so the
-/// binary operations are plain word-wise loops with no length checks beyond
-/// a debug assertion.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BitRecord {
-    words: Box<[u64]>,
-}
-
-impl BitRecord {
-    /// An all-zero bitset of `words` `u64` words.
-    pub fn zeroed(words: usize) -> Self {
-        BitRecord {
-            words: vec![0u64; words].into_boxed_slice(),
-        }
-    }
-
-    /// The underlying words (for the flat-row word-slice operations above).
-    #[inline]
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Sets bit `d`.
-    #[inline]
-    pub fn set(&mut self, d: u16) {
-        bits_set(&mut self.words, d);
-    }
-
-    /// Clears bit `d`.
-    #[inline]
-    pub fn clear(&mut self, d: u16) {
-        self.words[(d / 64) as usize] &= !(1u64 << (d % 64));
-    }
-
-    /// Whether bit `d` is set.
-    #[inline]
-    pub fn contains(&self, d: u16) -> bool {
-        bits_contain(&self.words, d)
-    }
-
-    /// Number of set bits.
-    pub fn count_ones(&self) -> u32 {
-        self.words.iter().map(|w| w.count_ones()).sum()
-    }
-
-    /// Whether no bit is set.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Zeroes every bit (the width is kept).
-    pub fn clear_all(&mut self) {
-        self.words.fill(0);
-    }
-
-    /// Popcount of `self ∩ other`.
-    #[inline]
-    pub fn and_count(&self, other: &BitRecord) -> u32 {
-        debug_assert_eq!(self.words.len(), other.words.len());
-        self.words
-            .iter()
-            .zip(other.words.iter())
-            .map(|(&a, &b)| (a & b).count_ones())
-            .sum()
-    }
-
-    /// Invokes `f` with every dense id set in `self ∩ other`, ascending.
-    #[inline]
-    pub fn for_each_and<F: FnMut(u16)>(&self, other: &BitRecord, f: F) {
-        bits_for_each_and(&self.words, &other.words, f);
-    }
-
-    /// Appends every dense id set in `self ∩ other` to `out`, ascending.
-    #[inline]
-    pub fn collect_and_into(&self, other: &BitRecord, out: &mut Vec<u16>) {
-        self.for_each_and(other, |d| out.push(d));
-    }
-
-    /// Invokes `f` with every set dense id, ascending.
-    pub fn for_each<F: FnMut(u16)>(&self, f: F) {
-        bits_for_each(&self.words, f);
     }
 }
 
@@ -443,49 +338,22 @@ mod tests {
         let dom = DenseDomain::from_records(std::iter::empty()).unwrap();
         assert!(dom.is_empty());
         assert_eq!(dom.words(), 0);
-        let bits = dom.bit_record(&rec(&[]));
-        assert!(bits.is_empty());
-    }
-
-    #[test]
-    fn bit_record_roundtrips_membership() {
-        let records = [rec(&[1, 2, 3, 64, 65, 129])];
-        let dom = DenseDomain::from_records(records.iter()).unwrap();
-        let bits = dom.bit_record(&records[0]);
-        assert_eq!(bits.count_ones(), 6);
-        for t in records[0].iter() {
-            assert!(bits.contains(dom.dense_of(t).unwrap()));
-        }
-        let mut decoded = Vec::new();
-        bits.for_each(|d| decoded.push(dom.term_of(d)));
-        assert_eq!(decoded, records[0].terms());
-    }
-
-    #[test]
-    fn bit_record_set_clear_and_width() {
-        // 100 terms → 2 words.
-        let records = [rec(&(0..100).collect::<Vec<_>>())];
-        let dom = DenseDomain::from_records(records.iter()).unwrap();
-        assert_eq!(dom.words(), 2);
-        let mut bits = BitRecord::zeroed(dom.words());
-        bits.set(99);
-        assert!(bits.contains(99) && !bits.contains(98));
-        bits.clear(99);
-        assert!(bits.is_empty());
-        bits.set(5);
-        bits.clear_all();
-        assert!(bits.is_empty());
     }
 
     #[test]
     fn intersection_iteration_is_sorted_and_exact() {
         let records = [rec(&(0..130).collect::<Vec<_>>())];
         let dom = DenseDomain::from_records(records.iter()).unwrap();
-        let a = dom.bit_record(&rec(&[1, 63, 64, 65, 127, 128]));
-        let b = dom.bit_record(&rec(&[63, 65, 128, 129]));
-        assert_eq!(a.and_count(&b), 3);
+        let row = |ids: &[u16]| {
+            let mut words = vec![0u64; dom.words()];
+            ids.iter().for_each(|&d| bits_set(&mut words, d));
+            words
+        };
+        let a = row(&[1, 63, 64, 65, 127, 128]);
+        let b = row(&[63, 65, 128, 129]);
+        assert!(bits_contain(&a, 127) && !bits_contain(&b, 127));
         let mut got = Vec::new();
-        a.collect_and_into(&b, &mut got);
+        bits_for_each_and(&a, &b, |d| got.push(d));
         assert_eq!(got, vec![63, 65, 128]);
         assert!(got.windows(2).all(|w| w[0] < w[1]));
     }

@@ -46,7 +46,7 @@ pub mod support;
 pub mod term;
 
 pub use dataset::Dataset;
-pub use dense::{BitRecord, DenseDomain, PackedCombo};
+pub use dense::{DenseDomain, PackedCombo};
 pub use dictionary::Dictionary;
 pub use itemset::Itemset;
 pub use record::Record;

@@ -1,14 +1,12 @@
 //! Support counting infrastructure.
 //!
 //! "Support" `s(a)` of a term or itemset is the number of records that
-//! contain it (Figure 1 of the paper).  Three flavours are provided:
+//! contain it (Figure 1 of the paper).  Two flavours are provided:
 //!
 //! * [`SupportMap`] — dense per-term counts over a known domain size,
 //! * [`PairSupports`] — sparse counts of 2-term combinations (the basis of
-//!   the relative-error metric of Section 6),
-//! * [`ItemsetSupports`] — sparse counts of arbitrary small itemsets.
+//!   the relative-error metric of Section 6).
 
-use crate::itemset::Itemset;
 use crate::record::Record;
 use crate::term::TermId;
 use serde::{Deserialize, Serialize};
@@ -182,67 +180,6 @@ impl PairSupports {
     }
 }
 
-/// Sparse support counts of arbitrary (small) itemsets.
-#[derive(Debug, Clone, Default)]
-pub struct ItemsetSupports {
-    counts: HashMap<Itemset, u64>,
-}
-
-impl ItemsetSupports {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Counts, for every record, all subsets of size `1..=max_size`.
-    ///
-    /// This is exactly the universe of adversary knowledge the k^m guarantee
-    /// quantifies over, so it is used both by the anonymity checker and by the
-    /// brute-force reference implementations in the test-suite.
-    pub fn count_all_subsets<'a, I: IntoIterator<Item = &'a Record>>(
-        records: I,
-        max_size: usize,
-    ) -> Self {
-        let mut table = ItemsetSupports::new();
-        for r in records {
-            crate::itemset::for_each_subset_up_to(r.terms(), max_size, |subset| {
-                *table.counts.entry(Itemset(subset.to_vec())).or_insert(0) += 1;
-            });
-        }
-        table
-    }
-
-    /// Increments the support of `itemset` by `by`.
-    pub fn add(&mut self, itemset: Itemset, by: u64) {
-        *self.counts.entry(itemset).or_insert(0) += by;
-    }
-
-    /// Support of `itemset`.
-    pub fn support(&self, itemset: &Itemset) -> u64 {
-        self.counts.get(itemset).copied().unwrap_or(0)
-    }
-
-    /// Number of distinct itemsets tracked.
-    pub fn len(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
-    /// Iterates over `(itemset, support)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&Itemset, u64)> + '_ {
-        self.counts.iter().map(|(k, &v)| (k, v))
-    }
-
-    /// Consumes the table, returning the underlying map.
-    pub fn into_map(self) -> HashMap<Itemset, u64> {
-        self.counts
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,39 +260,5 @@ mod tests {
             "3 not in universe"
         );
         assert_eq!(ps.len(), 1);
-    }
-
-    #[test]
-    fn itemset_supports_count_all_small_subsets() {
-        let records = vec![rec(&[1, 2]), rec(&[1, 2, 3])];
-        let table = ItemsetSupports::count_all_subsets(&records, 2);
-        assert_eq!(table.support(&Itemset::new([TermId::new(1)])), 2);
-        assert_eq!(
-            table.support(&Itemset::new([TermId::new(1), TermId::new(2)])),
-            2
-        );
-        assert_eq!(
-            table.support(&Itemset::new([TermId::new(2), TermId::new(3)])),
-            1
-        );
-        assert_eq!(
-            table.support(&Itemset::new([
-                TermId::new(1),
-                TermId::new(2),
-                TermId::new(3)
-            ])),
-            0,
-            "size-3 subsets are beyond max_size"
-        );
-    }
-
-    #[test]
-    fn itemset_supports_add_accumulates() {
-        let mut table = ItemsetSupports::new();
-        let is = Itemset::new([TermId::new(4)]);
-        table.add(is.clone(), 2);
-        table.add(is.clone(), 3);
-        assert_eq!(table.support(&is), 5);
-        assert_eq!(table.len(), 1);
     }
 }

@@ -2,7 +2,9 @@
 //!
 //! 1. **Collection is inert** — running the anonymizer with metrics and
 //!    tracing enabled publishes the byte-identical dataset to a run with
-//!    everything off (instrumentation must never steer the algorithm).
+//!    everything off (instrumentation must never steer the algorithm), and
+//!    the trace holds one span per phase per batch whose duration is the
+//!    phase time the batch reports.
 //! 2. **The counters balance** — every REFINE join attempt is accounted
 //!    for: `joins_accepted + joins_rejected == join_attempts`, and every
 //!    anonymity-check trial landed in exactly one checker-path counter.
@@ -15,9 +17,13 @@
 
 use datagen::{QuestConfig, QuestGenerator};
 use disassoc_obs::metrics::{self, counters};
-use disassoc_obs::trace;
+use disassoc_obs::{names, trace};
 use disassoc_store::{Store, StoreConfig};
-use disassociation::{DisassociationConfig, Disassociator};
+use disassociation::pipeline::{DatasetSource, FnSink};
+use disassociation::{
+    BatchOutput, DisassociationConfig, DisassociationOutput, Disassociator, Pipeline,
+};
+use serde_json::Value;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use transact::{Dataset, Record};
 
@@ -45,36 +51,101 @@ fn config() -> DisassociationConfig {
     }
 }
 
+/// Runs a serial `Pipeline` over `dataset` in 500-record batches and
+/// returns every batch's output, in batch order.
+fn run_batches(dataset: &Dataset) -> Vec<DisassociationOutput> {
+    let mut outputs = Vec::new();
+    let mut source = DatasetSource::new(dataset, 500);
+    Pipeline::new(config())
+        .source(&mut source)
+        .sink(&mut FnSink::new(|batch: BatchOutput| {
+            outputs.push(batch.output)
+        }))
+        .threads(1)
+        .run()
+        .unwrap();
+    outputs
+}
+
 #[test]
 fn collection_does_not_change_the_publication() {
     let _guard = obs_lock();
     let dataset = quest(2_000, 11);
 
     metrics::disable();
-    let plain = Disassociator::new(config()).anonymize(&dataset);
+    let plain = run_batches(&dataset);
 
     // Full collection: metrics plus a live trace sink.
     metrics::reset_all();
     metrics::enable();
     let trace_path = std::env::temp_dir().join(format!("obs_inert_{}.jsonl", std::process::id()));
     trace::init_file(&trace_path).unwrap();
-    let observed = Disassociator::new(config()).anonymize(&dataset);
+    let observed = run_batches(&dataset);
     trace::shutdown().unwrap();
     metrics::disable();
 
-    assert_eq!(
-        serde_json::to_vec(&plain.dataset).unwrap(),
-        serde_json::to_vec(&observed.dataset).unwrap(),
-        "metrics/tracing must be observationally inert"
-    );
+    assert_eq!(observed.len(), 4);
+    for (plain, observed) in plain.iter().zip(&observed) {
+        assert_eq!(
+            serde_json::to_vec(&plain.dataset).unwrap(),
+            serde_json::to_vec(&observed.dataset).unwrap(),
+            "metrics/tracing must be observationally inert"
+        );
+    }
     // The trace recorded the run as JSONL.
     let text = std::fs::read_to_string(&trace_path).unwrap();
-    assert!(text.lines().count() > 0, "trace should hold events");
-    for line in text.lines() {
-        let value: serde_json::Value = serde_json::from_str(line).expect("every line is JSON");
+    let records: Vec<Value> = text
+        .lines()
+        .map(|line| serde_json::from_str(line).expect("every line is JSON"))
+        .collect();
+    assert!(!records.is_empty(), "trace should hold events");
+    for value in &records {
         assert!(value.get("ts_us").is_some());
         assert!(value.get("kind").is_some());
         assert!(value.get("name").is_some());
+    }
+    // One span per phase per batch, each as long as the phase time the
+    // batch reports (the span is the phase's only clock).
+    let phase_spans = |phase: &str| -> Vec<u64> {
+        let str_field = |r: &Value, key: &str| match r.get(key) {
+            Some(Value::Str(s)) => s.clone(),
+            other => panic!("{key} is not a string: {other:?}"),
+        };
+        records
+            .iter()
+            .filter(|r| str_field(r, "kind") == "span" && str_field(r, "name") == phase)
+            .map(|r| match r.get("dur_us") {
+                Some(Value::Int(us)) => *us as u64,
+                other => panic!("spans carry an integer dur_us, got {other:?}"),
+            })
+            .collect()
+    };
+    for (phase, seconds) in [
+        (
+            names::SPAN_CORE_HORPART,
+            observed
+                .iter()
+                .map(|o| o.phases.horpart)
+                .collect::<Vec<_>>(),
+        ),
+        (
+            names::SPAN_CORE_VERPART,
+            observed.iter().map(|o| o.phases.verpart).collect(),
+        ),
+        (
+            names::SPAN_CORE_REFINE,
+            observed.iter().map(|o| o.phases.refine).collect(),
+        ),
+    ] {
+        let spans = phase_spans(phase);
+        assert_eq!(spans.len(), observed.len(), "one {phase} span per batch");
+        for (dur_us, seconds) in spans.iter().zip(seconds) {
+            let micros = seconds * 1e6;
+            assert!(
+                (*dur_us as f64 - micros).abs() < 1.0,
+                "{phase}: span {dur_us} us vs phase time {micros} us"
+            );
+        }
     }
     std::fs::remove_file(&trace_path).ok();
 }
@@ -105,7 +176,6 @@ fn join_and_checker_counters_balance() {
     // Every anonymity trial landed in exactly one checker-path counter;
     // for m=2 at this domain size at least one m=2 path must have fired.
     let trials = counters::CORE_CHECKER_TRIALS_M2_TRIANGLE.get()
-        + counters::CORE_CHECKER_TRIALS_M2_SPARSE.get()
         + counters::CORE_CHECKER_TRIALS_PACKED.get()
         + counters::CORE_CHECKER_TRIALS_FALLBACK.get();
     assert!(
@@ -113,10 +183,8 @@ fn join_and_checker_counters_balance() {
         "VERPART/REFINE should have run anonymity checks"
     );
     assert!(
-        counters::CORE_CHECKER_TRIALS_M2_TRIANGLE.get()
-            + counters::CORE_CHECKER_TRIALS_M2_SPARSE.get()
-            > 0,
-        "an m=2 run should exercise an m=2 checker path"
+        counters::CORE_CHECKER_TRIALS_M2_TRIANGLE.get() > 0,
+        "an m=2 run should exercise the m=2 triangle"
     );
     assert_eq!(counters::CORE_ANONYMIZE_RUNS.get(), 1);
     assert!(counters::CORE_HORPART_CLUSTERS.get() > 0);
