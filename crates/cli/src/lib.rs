@@ -27,14 +27,13 @@
 
 use datagen::{QuestConfig, QuestGenerator, RealDataset};
 use disassoc_obs::trace::Attr;
+use disassoc_store::publish::AppendJob;
 use disassoc_store::{ChunkDir, Store, StoreConfig};
 use disassociation::pipeline::{
-    ChunkSink, CollectSink, DatasetSource, JsonChunksSink, Pipeline, ReaderSource, RecordSource,
-    RunSummary,
+    ChunkSink, CollectSink, DatasetSource, Pipeline, ReaderSource, RecordSource, RunSummary,
 };
 use disassociation::{
     reconstruct_many, AppendOptions, ConfigError, DisassociationConfig, DisassociationOutput,
-    IncrementalPipeline,
 };
 use metrics::{InformationLoss, LossConfig};
 use std::collections::BTreeMap;
@@ -747,37 +746,23 @@ impl Command {
                 // The chunk file is streamed batch by batch: together with
                 // the chunked sources this bounds BOTH original-record and
                 // published-chunk residency by the batch size, not the
-                // dataset size.  The stream goes to a `.partial` sibling
-                // that replaces `chunks_path` only after a successful run:
-                // a failed run never destroys an existing publication, a
-                // missing input leaves no stray output at all (the sink is
-                // created only after the source opened), and an aborted
-                // partial file is removed rather than left looking valid.
-                let partial_path = out_prefix.with_extension("chunks.json.partial");
-                let mut stats = None;
+                // dataset size.  `publish_flat_file` replaces `chunks_path`
+                // only after a successful run, and the sink is created only
+                // after the source opened, so a missing input leaves no
+                // stray output at all.
                 let result = with_source(input.as_deref(), store.as_deref(), *batch_size, |src| {
-                    let mut sink = JsonChunksSink::create(&partial_path, &config)?;
-                    let summary = run_pipeline(&config, src, &mut sink, *threads)?;
-                    stats = Some(*sink.stats());
-                    Ok(summary)
+                    disassoc_store::publish::publish_flat_file(&chunks_path, &config, |sink| {
+                        let summary = run_pipeline(&config, src, sink, *threads)?;
+                        Ok((summary, *sink.stats()))
+                    })
                 });
-                let summary = match result {
-                    Ok(summary) => summary,
+                let (summary, stats) = match result {
+                    Ok(done) => done,
                     Err(e) => {
-                        std::fs::remove_file(&partial_path).ok();
                         session.abort();
                         return Err(e);
                     }
                 };
-                if let Err(e) =
-                    disassoc_store::publish::commit_flat_file(&partial_path, &chunks_path)
-                {
-                    std::fs::remove_file(&partial_path).ok();
-                    session.abort();
-                    return Err(e.into());
-                }
-                // lint:allow(panic, "stats are recorded on every Ok path of the run closure above")
-                let stats = stats.expect("a successful run records its stats");
                 writeln!(
                     out,
                     "anonymized {} records into {} simple clusters ({} record chunks, {} shared chunks) in {:.2}s",
@@ -824,37 +809,61 @@ impl Command {
                 };
                 config.validate()?;
                 let session = obs.start()?;
+                let chunks_path = out_prefix
+                    .as_ref()
+                    .map(|prefix| prefix.with_extension("chunks.json"));
                 let (result, seconds) =
                     disassoc_obs::trace::span(disassoc_obs::names::SPAN_CLI_APPEND, || {
                         let mut st = open_existing_store(store)?;
-                        let size = if *batch_size == 0 {
-                            DEFAULT_STORE_BATCH
-                        } else {
-                            *batch_size
-                        };
-                        // Rebuild the incremental state from the store's
-                        // current contents, then route the appended records
-                        // into it: only the clusters they land in are
-                        // re-anonymized, and only the batches holding those
-                        // clusters are republished.
-                        let mut pipeline = {
-                            let mut source = st.source(size);
-                            IncrementalPipeline::build(config.clone(), &mut source)?
-                        };
                         let mut reader = ReaderSource::open(input, 0)?;
                         let mut new_records: Vec<Record> = Vec::new();
                         while let Some(batch) = reader.next_batch()? {
                             new_records.extend(batch);
                         }
-                        let options = AppendOptions {
-                            max_dirty_fraction: *max_dirty_fraction,
+                        let mut chunks = publish.as_deref().map(ChunkDir::open).transpose()?;
+                        let before: BTreeMap<usize, u64> = chunks
+                            .as_ref()
+                            .map(|c| c.generations().into_iter().collect())
+                            .unwrap_or_default();
+                        // Rebuild the incremental state from the store's
+                        // current contents, then route the appended records
+                        // into it: only the clusters they land in are
+                        // re-anonymized, and only the batches holding those
+                        // clusters are republished.
+                        let job = AppendJob {
+                            config: &config,
+                            options: AppendOptions {
+                                max_dirty_fraction: *max_dirty_fraction,
+                            },
+                            batch_size: if *batch_size == 0 {
+                                DEFAULT_STORE_BATCH
+                            } else {
+                                *batch_size
+                            },
+                            threads: 1,
                         };
-                        let outcome = pipeline.append_with(&new_records, &options);
-                        st.append_batch(&new_records)?;
-                        st.flush()?;
-                        Ok::<_, CliError>((pipeline, outcome))
+                        let appended = job.run::<CliError>(
+                            &mut st,
+                            &new_records,
+                            chunks.as_mut(),
+                            chunks_path.as_deref(),
+                        )?;
+                        let rewritten = chunks.map(|c| {
+                            c.generations()
+                                .into_iter()
+                                .filter(|(batch, generation)| before.get(batch) != Some(generation))
+                                .count()
+                        });
+                        Ok::<_, CliError>((appended, rewritten))
                     });
-                let (mut pipeline, outcome) = result?;
+                let (appended, rewritten) = match result {
+                    Ok(done) => done,
+                    Err(e) => {
+                        session.abort();
+                        return Err(e);
+                    }
+                };
+                let outcome = appended.outcome;
                 writeln!(
                     out,
                     "appended {} records: {} clusters re-anonymized, {} reused untouched, \
@@ -867,49 +876,15 @@ impl Command {
                     outcome.total_clusters,
                     seconds
                 )?;
-                if let Some(dir) = publish {
-                    let mut chunks = ChunkDir::open(dir)?;
-                    let before: std::collections::HashMap<usize, u64> =
-                        chunks.generations().into_iter().collect();
-                    // Deliver the dirty batches (a fresh process rebuilds
-                    // with every batch dirty); the chunk dir skips any batch
-                    // whose committed file already holds identical content,
-                    // so only real changes hit the disk and the clean files
-                    // stay byte-identical.
-                    if chunks.is_empty() {
-                        pipeline.publish_all(&mut chunks)?;
-                    } else {
-                        pipeline.publish_dirty(&mut chunks)?;
-                    }
-                    let rewritten = chunks
-                        .generations()
-                        .into_iter()
-                        .filter(|(batch, generation)| before.get(batch) != Some(generation))
-                        .count();
+                if let (Some(dir), Some(rewritten)) = (publish, rewritten) {
                     writeln!(
                         out,
                         "republished {rewritten} of {} batches to {}",
-                        pipeline.batch_count(),
+                        appended.batches,
                         dir.display()
                     )?;
                 }
-                if let Some(prefix) = out_prefix {
-                    let chunks_path = prefix.with_extension("chunks.json");
-                    let partial_path = prefix.with_extension("chunks.json.partial");
-                    let result = (|| -> Result<(), CliError> {
-                        let mut sink = JsonChunksSink::create(&partial_path, &config)?;
-                        pipeline.publish_all(&mut sink)?;
-                        Ok(())
-                    })();
-                    let result = result.and_then(|()| {
-                        disassoc_store::publish::commit_flat_file(&partial_path, &chunks_path)
-                            .map_err(CliError::from)
-                    });
-                    if let Err(e) = result {
-                        std::fs::remove_file(&partial_path).ok();
-                        session.abort();
-                        return Err(e);
-                    }
+                if let Some(chunks_path) = chunks_path {
                     writeln!(out, "published chunks: {}", chunks_path.display())?;
                 }
                 session.finish(out)?;

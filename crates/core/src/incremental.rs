@@ -40,7 +40,7 @@
 use crate::error::Error;
 use crate::horpart::{horizontal_partition, merge_small_clusters, SplitTree};
 use crate::model::{ClusterNode, DisassociatedDataset};
-use crate::pipeline::{BatchOutput, ChunkSink, RecordSource};
+use crate::pipeline::{BatchOutput, ChunkSink, Pipeline, RecordSource};
 use crate::refine::{WorkCluster, WorkNode};
 use crate::verpart::VerPartOptions;
 use crate::{DisassociationConfig, DisassociationOutput, Disassociator, PhaseRun, PhaseTimings};
@@ -576,8 +576,8 @@ impl Disassociator {
 /// batch, with appended records routed to the batch whose recorded HORPART
 /// splits they match best.  Only dirty batches are re-anonymized, and
 /// [`publish_dirty`](IncrementalPipeline::publish_dirty) delivers only those
-/// to the sink — the incremental counterpart of
-/// [`crate::pipeline::Pipeline`].
+/// to the sink.  Built by [`Pipeline::build_incremental`], on the same batch
+/// driver and thread budget as a full [`Pipeline::run`].
 #[derive(Debug, Clone)]
 pub struct IncrementalPipeline {
     disassociator: Disassociator,
@@ -587,29 +587,28 @@ pub struct IncrementalPipeline {
 
 impl IncrementalPipeline {
     /// Runs the full batched anonymization over `source`, retaining
-    /// per-batch state.  Every batch starts out dirty (nothing has been
-    /// delivered to a sink yet); the first publish clears the flags.
+    /// per-batch state: `Pipeline::new(config).source(source)`
+    /// [`.build_incremental()`](crate::pipeline::Pipeline::build_incremental)
+    /// on one thread.
     pub fn build<S: RecordSource + ?Sized>(
         config: DisassociationConfig,
-        source: &mut S,
+        mut source: &mut S,
     ) -> Result<Self, Error> {
-        let disassociator = Disassociator::try_new(config)?;
-        let mut batches = Vec::new();
-        while let Some(batch) = source.next_batch().map_err(Error::Source)? {
-            if batch.is_empty() {
-                continue;
-            }
-            batches.push(IncrementalRun::build(
-                disassociator.clone(),
-                Dataset::from_records(batch),
-            ));
-        }
+        Pipeline::new(config)
+            .source(&mut source)
+            .build_incremental()
+    }
+
+    /// Wraps the per-batch runs of a finished build.  Every batch starts out
+    /// dirty (nothing has been delivered to a sink yet); the first publish
+    /// clears the flags.
+    pub(crate) fn from_runs(disassociator: Disassociator, batches: Vec<IncrementalRun>) -> Self {
         let dirty = vec![true; batches.len()];
-        Ok(IncrementalPipeline {
+        IncrementalPipeline {
             disassociator,
             batches,
             dirty,
-        })
+        }
     }
 
     /// Number of batches.
@@ -742,42 +741,6 @@ impl IncrementalPipeline {
             acc += run.records().len();
         }
         offsets
-    }
-
-    /// The combined publication across batches, with the assignment rebased
-    /// to the canonical batch-concatenated record order.
-    pub fn combined_output(&self) -> DisassociationOutput {
-        let cfg = self.disassociator.config();
-        let offsets = self.record_offsets();
-        let mut clusters = Vec::new();
-        let mut assignment = Vec::new();
-        let mut phases = PhaseTimings::default();
-        let mut refine_passes = 0usize;
-        let mut refine_converged = true;
-        for (i, run) in self.batches.iter().enumerate() {
-            let output = run.output();
-            clusters.extend(output.dataset.clusters);
-            assignment.extend(
-                output
-                    .cluster_assignment
-                    .into_iter()
-                    .map(|idxs| idxs.into_iter().map(|r| r + offsets[i]).collect()),
-            );
-            phases.accumulate(output.phases);
-            refine_passes = refine_passes.max(output.refine_passes);
-            refine_converged &= output.refine_converged;
-        }
-        DisassociationOutput {
-            dataset: DisassociatedDataset {
-                k: cfg.k,
-                m: cfg.m,
-                clusters,
-            },
-            cluster_assignment: assignment,
-            phases,
-            refine_passes,
-            refine_converged,
-        }
     }
 }
 
@@ -985,6 +948,9 @@ mod tests {
         let _ = sink;
         assert_eq!(delivered, vec![1]);
         assert!(pipeline.dirty_batches().is_empty());
-        assert!(verify_structure(&pipeline.combined_output().dataset).is_ok());
+        let mut combined =
+            crate::pipeline::CollectSink::for_config(pipeline.disassociator.config());
+        pipeline.publish_all(&mut combined).unwrap();
+        assert!(verify_structure(&combined.into_output().dataset).is_ok());
     }
 }

@@ -52,6 +52,7 @@
 //! ```
 
 use crate::error::{Error, SinkError, SourceError};
+use crate::incremental::{IncrementalPipeline, IncrementalRun};
 use crate::model::ClusterNode;
 use crate::{
     DisassociatedDataset, DisassociationConfig, DisassociationOutput, Disassociator, PhaseTimings,
@@ -62,7 +63,7 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 use std::sync::{mpsc, Mutex, PoisonError};
 use transact::io::RecordReader;
-use transact::{Dataset, Dictionary, Record};
+use transact::{Dataset, Record};
 
 // ---------------------------------------------------------------------------
 // The traits
@@ -448,36 +449,31 @@ impl ChunkFileStats {
 /// is bounded by one batch — the whole-file JSON document is never held in
 /// memory.
 ///
-/// In numeric mode the finished file is **byte-identical** to
+/// The finished file is **byte-identical** to
 /// `serde_json::to_vec_pretty(&DisassociatedDataset)` of the equivalent
 /// collected output (regression-tested), so downstream consumers
-/// (`disassoc reconstruct`, the metrics) cannot tell the difference.  In
-/// named mode ([`JsonChunksSink::named`]) term ids are rendered as their
-/// dictionary strings — a human-readable publication for named datasets
-/// (not machine-reversible back into a numeric `DisassociatedDataset`).
+/// (`disassoc reconstruct`, the metrics) cannot tell the difference.
 ///
 /// The header is written lazily and the `]}`-trailer only by
 /// [`finish`](ChunkSink::finish): a run that aborts mid-stream leaves a
 /// file that **fails to parse** instead of a valid-looking but silently
 /// truncated publication.
-pub struct JsonChunksSink<'d, W: Write> {
+pub struct JsonChunksSink<W: Write> {
     writer: W,
     k: usize,
     m: usize,
-    dict: Option<&'d Dictionary>,
     clusters_written: usize,
     finished: bool,
     stats: ChunkFileStats,
 }
 
-impl<W: Write> JsonChunksSink<'static, W> {
+impl<W: Write> JsonChunksSink<W> {
     /// A numeric-term sink writing to `writer`.
     pub fn numeric(writer: W, config: &DisassociationConfig) -> Self {
         JsonChunksSink {
             writer,
             k: config.k,
             m: config.m,
-            dict: None,
             clusters_written: 0,
             finished: false,
             stats: ChunkFileStats::default(),
@@ -485,7 +481,7 @@ impl<W: Write> JsonChunksSink<'static, W> {
     }
 }
 
-impl JsonChunksSink<'static, std::io::BufWriter<std::fs::File>> {
+impl JsonChunksSink<std::io::BufWriter<std::fs::File>> {
     /// Creates (truncating) a numeric-term chunk file at `path`.
     pub fn create<P: AsRef<std::path::Path>>(
         path: P,
@@ -501,21 +497,7 @@ impl JsonChunksSink<'static, std::io::BufWriter<std::fs::File>> {
     }
 }
 
-impl<'d, W: Write> JsonChunksSink<'d, W> {
-    /// A named-term sink: term ids are rendered through `dict`
-    /// (placeholders `t<id>` for unknown ids).
-    pub fn named(writer: W, config: &DisassociationConfig, dict: &'d Dictionary) -> Self {
-        JsonChunksSink {
-            writer,
-            k: config.k,
-            m: config.m,
-            dict: Some(dict),
-            clusters_written: 0,
-            finished: false,
-            stats: ChunkFileStats::default(),
-        }
-    }
-
+impl<W: Write> JsonChunksSink<W> {
     /// Counters over everything written so far.
     pub fn stats(&self) -> &ChunkFileStats {
         &self.stats
@@ -528,11 +510,8 @@ impl<'d, W: Write> JsonChunksSink<'d, W> {
     }
 
     fn write_cluster(&mut self, node: &ClusterNode) -> Result<(), SinkError> {
-        let rendered = match self.dict {
-            None => serde_json::to_string_pretty(node),
-            Some(dict) => serde_json::to_string_pretty(&named::node_value(node, dict)),
-        }
-        .map_err(|e| SinkError::new("serializing a cluster node", e))?;
+        let rendered = serde_json::to_string_pretty(node)
+            .map_err(|e| SinkError::new("serializing a cluster node", e))?;
         let mut out = String::with_capacity(rendered.len() + 64);
         if self.clusters_written == 0 {
             // The document prefix, matching `to_string_pretty`'s two-space
@@ -554,7 +533,7 @@ impl<'d, W: Write> JsonChunksSink<'d, W> {
     }
 }
 
-impl<W: Write> ChunkSink for JsonChunksSink<'_, W> {
+impl<W: Write> ChunkSink for JsonChunksSink<W> {
     fn accept(&mut self, batch: BatchOutput) -> Result<(), SinkError> {
         let output = &batch.output;
         self.stats.records += output.dataset.total_records();
@@ -588,100 +567,6 @@ impl<W: Write> ChunkSink for JsonChunksSink<'_, W> {
             .map_err(|e| SinkError::new("sealing the chunk file", e))?;
         self.finished = true;
         Ok(())
-    }
-}
-
-/// Named-term rendering of the published model (the [`JsonChunksSink::named`]
-/// mode): the same JSON shape with every term id replaced by its dictionary
-/// string.
-mod named {
-    use super::*;
-    use crate::model::{Cluster, JointCluster, RecordChunk};
-    use serde_json::Value;
-    use transact::TermId;
-
-    fn term(dict: &Dictionary, id: TermId) -> Value {
-        Value::Str(dict.term_or_placeholder(id))
-    }
-
-    fn terms(dict: &Dictionary, ids: &[TermId]) -> Value {
-        Value::Array(ids.iter().map(|&t| term(dict, t)).collect())
-    }
-
-    fn chunk_value(chunk: &RecordChunk, dict: &Dictionary) -> Value {
-        Value::Object(vec![
-            ("domain".into(), terms(dict, &chunk.domain)),
-            (
-                "subrecords".into(),
-                Value::Array(
-                    chunk
-                        .subrecords
-                        .iter()
-                        .map(|r| terms(dict, r.terms()))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    fn cluster_value(cluster: &Cluster, dict: &Dictionary) -> Value {
-        Value::Object(vec![
-            ("size".into(), Value::Int(cluster.size as i128)),
-            (
-                "record_chunks".into(),
-                Value::Array(
-                    cluster
-                        .record_chunks
-                        .iter()
-                        .map(|c| chunk_value(c, dict))
-                        .collect(),
-                ),
-            ),
-            (
-                "term_chunk".into(),
-                Value::Object(vec![(
-                    "terms".into(),
-                    terms(dict, &cluster.term_chunk.terms),
-                )]),
-            ),
-        ])
-    }
-
-    fn joint_value(joint: &JointCluster, dict: &Dictionary) -> Value {
-        Value::Object(vec![
-            (
-                "children".into(),
-                Value::Array(joint.children.iter().map(|n| node_value(n, dict)).collect()),
-            ),
-            (
-                "shared_chunks".into(),
-                Value::Array(
-                    joint
-                        .shared_chunks
-                        .iter()
-                        .map(|s| {
-                            Value::Object(vec![
-                                ("chunk".into(), chunk_value(&s.chunk, dict)),
-                                (
-                                    "requires_k_anonymity".into(),
-                                    Value::Bool(s.requires_k_anonymity),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Converts a cluster node to its named-term JSON value.
-    pub(super) fn node_value(node: &ClusterNode, dict: &Dictionary) -> Value {
-        match node {
-            ClusterNode::Simple(c) => {
-                Value::Object(vec![("Simple".into(), cluster_value(c, dict))])
-            }
-            ClusterNode::Joint(j) => Value::Object(vec![("Joint".into(), joint_value(j, dict))]),
-        }
     }
 }
 
@@ -740,7 +625,9 @@ impl ChunkSink for MultiSink<'_> {
 
 /// Builder and executor of a disassociation run: configuration, a
 /// [`RecordSource`], an optional [`ChunkSink`] and a thread count, composed
-/// with method chaining and executed by [`run`](Pipeline::run).
+/// with method chaining and executed by [`run`](Pipeline::run) (or, to
+/// retain per-batch state for appends, by
+/// [`build_incremental`](Pipeline::build_incremental)).
 ///
 /// With `threads(n > 1)`, up to `n` batches are anonymized concurrently on a
 /// bounded worker pool while the source is pulled and the sink is fed from
@@ -793,62 +680,151 @@ impl<'a> Pipeline<'a> {
     /// the cause chain; every batch accepted by the sink before the failure
     /// stays accepted, and [`ChunkSink::finish`] is *not* called.
     pub fn run(self) -> Result<RunSummary, Error> {
-        self.config.validate()?;
-        let threads = if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(4)
-        } else {
-            self.threads
-        };
-        let source = self.source.ok_or(Error::MissingSource)?;
-        let mut sink = self.sink;
-        let summary = if threads <= 1 {
-            run_serial(&self.config, source, &mut sink)?
-        } else {
-            run_parallel(&self.config, source, &mut sink, threads)?
-        };
-        if let Some(sink) = sink.as_mut() {
+        let Pipeline {
+            config,
+            source,
+            mut sink,
+            threads,
+        } = self;
+        let disassociator = Disassociator::try_new(config)?;
+        let source = source.ok_or(Error::MissingSource)?;
+        let summary = drive(
+            source,
+            threads,
+            |records| disassociator.anonymize_owned(Dataset::from_records(records)),
+            |done| match sink.as_mut() {
+                Some(sink) => sink
+                    .accept(BatchOutput {
+                        batch_index: done.index,
+                        record_offset: done.offset,
+                        output: done.output,
+                    })
+                    .map_err(Error::Sink),
+                None => Ok(()),
+            },
+        )?;
+        if let Some(sink) = sink {
             sink.finish().map_err(Error::Sink)?;
         }
         Ok(summary)
     }
+
+    /// Runs [`IncrementalRun::build`] on every batch of the source under the
+    /// same thread budget as [`run`](Self::run), retaining each batch's
+    /// state so later appends re-anonymize only what they touch.
+    ///
+    /// Nothing is delivered here: the returned pipeline starts with every
+    /// batch dirty and publishes through
+    /// [`IncrementalPipeline::publish_all`] /
+    /// [`publish_dirty`](IncrementalPipeline::publish_dirty), so a sink set
+    /// on this builder is not used.  Each batch's publication is
+    /// byte-identical to [`run`](Self::run)'s for any thread count.
+    pub fn build_incremental(self) -> Result<IncrementalPipeline, Error> {
+        let disassociator = Disassociator::try_new(self.config)?;
+        let source = self.source.ok_or(Error::MissingSource)?;
+        let mut runs = Vec::new();
+        drive(
+            source,
+            self.threads,
+            |records| IncrementalRun::build(disassociator.clone(), Dataset::from_records(records)),
+            |done| {
+                runs.push(done.output);
+                Ok(())
+            },
+        )?;
+        Ok(IncrementalPipeline::from_runs(disassociator, runs))
+    }
 }
 
-fn deliver(
-    sink: &mut Option<&mut dyn ChunkSink>,
+/// What a batch job returns: anything carrying its per-phase timings, which
+/// the driver reports per batch.
+trait BatchResult: Send {
+    fn phases(&self) -> PhaseTimings;
+}
+
+impl BatchResult for DisassociationOutput {
+    fn phases(&self) -> PhaseTimings {
+        self.phases
+    }
+}
+
+impl BatchResult for IncrementalRun {
+    fn phases(&self) -> PhaseTimings {
+        IncrementalRun::phases(self)
+    }
+}
+
+/// One finished batch: its position in the stream and its job's result.
+struct Done<O> {
+    index: usize,
+    offset: usize,
+    len: usize,
+    output: O,
+}
+
+/// The batch driver shared by [`Pipeline::run`] and
+/// [`Pipeline::build_incremental`]: runs `job` on every non-empty batch of
+/// `source` — in the calling thread for `threads == 1`, on a worker pool
+/// otherwise (`0` = one worker per core) — and hands each result to
+/// `consume` in batch order.  The first source or `consume` error aborts
+/// the run.
+fn drive<O, J, C>(
+    source: &mut dyn RecordSource,
+    threads: usize,
+    job: J,
+    mut consume: C,
+) -> Result<RunSummary, Error>
+where
+    O: BatchResult,
+    J: Fn(Vec<Record>) -> O + Sync,
+    C: FnMut(Done<O>) -> Result<(), Error>,
+{
+    let threads = if threads == 0 {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(4)
+    } else {
+        threads
+    };
+    if threads == 1 {
+        run_serial(source, &job, &mut consume)
+    } else {
+        run_parallel(source, &job, &mut consume, threads)
+    }
+}
+
+/// Reports one finished batch and hands it to `consume`.
+fn deliver<O: BatchResult>(
+    consume: &mut impl FnMut(Done<O>) -> Result<(), Error>,
     summary: &mut RunSummary,
-    batch: BatchOutput,
-    records: usize,
+    done: Done<O>,
 ) -> Result<(), Error> {
-    let batch_seconds = batch.output.phases.total();
+    let batch_seconds = done.output.phases().total();
+    let (index, records) = (done.index, done.len);
     obs_gauges::CORE_LAST_BATCH_RECORDS.set(records as u64);
     obs_histograms::CORE_BATCH_MICROS.record((batch_seconds * 1e6) as u64);
     if obs_trace::enabled() {
         obs_trace::event(
             disassoc_obs::names::EVENT_PIPELINE_BATCH,
             &[
-                ("batch", Attr::U64(batch.batch_index as u64)),
+                ("batch", Attr::U64(index as u64)),
                 ("records", Attr::U64(records as u64)),
                 ("total_s", Attr::F64(batch_seconds)),
             ],
         );
     }
-    if let Some(sink) = sink.as_mut() {
-        sink.accept(batch).map_err(Error::Sink)?;
-    }
+    consume(done)?;
     summary.batches += 1;
     summary.records += records;
     summary.peak_batch_records = summary.peak_batch_records.max(records);
     Ok(())
 }
 
-fn run_serial(
-    config: &DisassociationConfig,
+fn run_serial<O: BatchResult>(
     source: &mut dyn RecordSource,
-    sink: &mut Option<&mut dyn ChunkSink>,
+    job: &impl Fn(Vec<Record>) -> O,
+    consume: &mut impl FnMut(Done<O>) -> Result<(), Error>,
 ) -> Result<RunSummary, Error> {
-    let disassociator = Disassociator::try_new(config.clone())?;
     let mut summary = RunSummary::default();
     loop {
         let records = match source.next_batch().map_err(Error::Source)? {
@@ -856,14 +832,13 @@ fn run_serial(
             Some(r) if r.is_empty() => continue,
             Some(r) => r,
         };
-        let len = records.len();
-        let output = disassociator.anonymize_owned(Dataset::from_records(records));
-        let batch = BatchOutput {
-            batch_index: summary.batches,
-            record_offset: summary.records,
-            output,
+        let done = Done {
+            index: summary.batches,
+            offset: summary.records,
+            len: records.len(),
+            output: job(records),
         };
-        deliver(sink, &mut summary, batch, len)?;
+        deliver(consume, &mut summary, done)?;
     }
     Ok(summary)
 }
@@ -874,43 +849,35 @@ struct Job {
     records: Vec<Record>,
 }
 
-struct Done {
-    index: usize,
-    offset: usize,
-    len: usize,
-    output: DisassociationOutput,
-}
-
 /// What a worker sends back: a finished batch, or the panic payload of a
 /// batch that unwound (re-raised on the driver thread).
-type WorkerResult = Result<Done, Box<dyn std::any::Any + Send + 'static>>;
+type WorkerResult<O> = Result<Done<O>, Box<dyn std::any::Any + Send + 'static>>;
 
-fn run_parallel(
-    config: &DisassociationConfig,
+fn run_parallel<O: BatchResult>(
     source: &mut dyn RecordSource,
-    sink: &mut Option<&mut dyn ChunkSink>,
+    job: &(impl Fn(Vec<Record>) -> O + Sync),
+    consume: &mut impl FnMut(Done<O>) -> Result<(), Error>,
     threads: usize,
 ) -> Result<RunSummary, Error> {
-    let disassociator = Disassociator::try_new(config.clone())?;
     let (job_tx, job_rx) = mpsc::channel::<Job>();
     let job_rx = Mutex::new(job_rx);
-    let (done_tx, done_rx) = mpsc::channel::<WorkerResult>();
+    let (done_tx, done_rx) = mpsc::channel::<WorkerResult<O>>();
     // The scope joins every worker before it returns.
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            let (rx, disassociator) = (&job_rx, &disassociator);
+            let rx = &job_rx;
             let tx = done_tx.clone();
             scope.spawn(move || loop {
                 // The lock is released as soon as `recv` returns: holding it
                 // across the blocking wait is what makes the shared receiver
                 // act as a work queue.  Nothing panics while holding it, so a
                 // poisoned lock still guards a valid receiver.
-                let job = { rx.lock().unwrap_or_else(PoisonError::into_inner).recv() };
+                let next = { rx.lock().unwrap_or_else(PoisonError::into_inner).recv() };
                 let Ok(Job {
                     index,
                     offset,
                     records,
-                }) = job
+                }) = next
                 else {
                     break;
                 };
@@ -919,21 +886,15 @@ fn run_parallel(
                 // unwinding here: with other workers still parked on the job
                 // queue, a local unwind would leave the driver blocked on
                 // `done_rx.recv()` forever (deadlock, not failure).
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    disassociator.anonymize_owned(Dataset::from_records(records))
-                }));
-                let (done, poisoned) = match result {
-                    Ok(output) => (
-                        Ok(Done {
-                            index,
-                            offset,
-                            len,
-                            output,
-                        }),
-                        false,
-                    ),
-                    Err(payload) => (Err(payload), true),
-                };
+                let result =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(records)));
+                let poisoned = result.is_err();
+                let done = result.map(|output| Done {
+                    index,
+                    offset,
+                    len,
+                    output,
+                });
                 if tx.send(done).is_err() || poisoned {
                     break; // driver gave up (error path) or this worker died
                 }
@@ -942,31 +903,25 @@ fn run_parallel(
         drop(done_tx);
         // On an early error return the channels are dropped here, which
         // unblocks every worker (recv/send fail) before the scope joins.
-        drive(source, sink, job_tx, done_rx, threads)
+        feed(source, consume, job_tx, done_rx, threads)
     })
 }
 
-impl Job {
-    fn len_of(&self) -> usize {
-        self.records.len()
-    }
-}
-
-fn drive(
+fn feed<O: BatchResult>(
     source: &mut dyn RecordSource,
-    sink: &mut Option<&mut dyn ChunkSink>,
+    consume: &mut impl FnMut(Done<O>) -> Result<(), Error>,
     job_tx: mpsc::Sender<Job>,
-    done_rx: mpsc::Receiver<WorkerResult>,
+    done_rx: mpsc::Receiver<WorkerResult<O>>,
     threads: usize,
 ) -> Result<RunSummary, Error> {
-    // The submission window is measured from the *sink frontier*
+    // The submission window is measured from the *consumer frontier*
     // (`next_deliver`), not from worker completions: it caps in-flight jobs
     // AND the reorder buffer together, so live batches never exceed
     // 2 × threads even when the head-of-line batch is much slower than its
     // successors (otherwise `pending` could grow towards the whole dataset).
     let window = threads * 2;
     let mut summary = RunSummary::default();
-    let mut pending: BTreeMap<usize, Done> = BTreeMap::new();
+    let mut pending: BTreeMap<usize, Done<O>> = BTreeMap::new();
     let mut next_deliver = 0usize;
     let mut submitted = 0usize;
     let mut offset = 0usize;
@@ -983,7 +938,7 @@ fn drive(
                         offset,
                         records,
                     };
-                    offset += job.len_of();
+                    offset += job.records.len();
                     submitted += 1;
                     in_flight += 1;
                     // lint:allow(panic, "workers hold the receiver for the scope lifetime; a worker panic is re-raised at the scope join")
@@ -1009,16 +964,7 @@ fn drive(
         pending.insert(done.index, done);
         while let Some(done) = pending.remove(&next_deliver) {
             next_deliver += 1;
-            deliver(
-                sink,
-                &mut summary,
-                BatchOutput {
-                    batch_index: done.index,
-                    record_offset: done.offset,
-                    output: done.output,
-                },
-                done.len,
-            )?;
+            deliver(consume, &mut summary, done)?;
         }
     }
     Ok(summary)
@@ -1388,35 +1334,5 @@ mod tests {
         // An empty run reports trivial convergence.
         assert!(ChunkFileStats::default().refine_converged);
         assert_eq!(ChunkFileStats::default().refine_passes, 0);
-    }
-
-    #[test]
-    fn named_sink_renders_dictionary_terms() {
-        let mut dict = Dictionary::new();
-        let records = vec![
-            Record::from_terms(&mut dict, ["itunes", "flu", "madonna"]),
-            Record::from_terms(&mut dict, ["madonna", "flu", "viagra"]),
-            Record::from_terms(&mut dict, ["itunes", "madonna", "ikea"]),
-            Record::from_terms(&mut dict, ["itunes", "flu", "viagra"]),
-        ];
-        let d = Dataset::from_records(records);
-        let cfg = DisassociationConfig {
-            k: 2,
-            m: 2,
-            ..Default::default()
-        };
-        let mut sink = JsonChunksSink::named(Vec::new(), &cfg, &dict);
-        let mut source = DatasetSource::new(&d, 0);
-        Pipeline::new(cfg)
-            .source(&mut source)
-            .sink(&mut sink)
-            .run()
-            .unwrap();
-        let text = String::from_utf8(sink.into_writer()).unwrap();
-        assert!(text.contains("\"madonna\""), "{text}");
-        assert!(!text.contains("\"domain\": [\n        0"), "{text}");
-        // Still valid JSON.
-        let value: serde_json::Value = serde_json::from_str(&text).unwrap();
-        drop(value);
     }
 }

@@ -13,7 +13,7 @@
 //! |---|---|
 //! | `POST /datasets/{name}/records` | ingest numeric-transaction lines into the dataset's WAL+memtable store (acknowledged = survives a process crash; the WAL is not fsynced per request, so not power loss) |
 //! | `POST /datasets/{name}/anonymize?k=&m=` | full re-anonymization through [`disassociation::Pipeline`], atomically republishing the chunk dir and flat publication |
-//! | `POST /datasets/{name}/append?k=&m=` | incremental append through [`disassociation::IncrementalPipeline`]; only dirty chunks are republished |
+//! | `POST /datasets/{name}/append?k=&m=` | incremental append through [`disassoc_store::publish::AppendJob`] (the CLI `append` protocol); only dirty chunks are republished |
 //! | `GET /datasets/{name}/chunks[?term=]` | the publication — flat-file bytes verbatim, or term-filtered via the committed chunk batches |
 //! | `GET /datasets` · `GET /datasets/{name}` | admin: dataset list / single summary |
 //! | `GET /metrics` · `GET /healthz` | admin: [`disassoc_obs`] counter snapshot as JSON / liveness |
@@ -24,8 +24,10 @@
 //!   write-ahead log with OS buffers flushed; kill -9 afterwards loses
 //!   nothing ([`crate::dataset::DatasetHandle::with_store`]).
 //! - **Atomic publication**: anonymize/append republish via the store
-//!   layer's two-phase [`disassoc_store::ChunkDir`] and an atomic rename of
-//!   the flat file; readers never observe a half-written publication.
+//!   layer's two-phase [`disassoc_store::ChunkDir`] and the durable
+//!   `.partial` → fsync → rename commit of
+//!   [`disassoc_store::publish::publish_flat_file`]; readers never observe
+//!   a half-written publication.
 //! - **Byte-identical to batch**: the served publication for a dataset is
 //!   byte-for-byte what `disassoc anonymize --store` would write for the
 //!   same records, batch size, and parameters.

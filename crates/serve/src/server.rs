@@ -31,8 +31,9 @@ use crate::signal;
 use disassoc_obs::metrics::{self, counters};
 use disassoc_obs::names;
 use disassoc_obs::trace as obs_trace;
-use disassociation::pipeline::{ChunkFileStats, JsonChunksSink, MultiSink};
-use disassociation::{AppendOptions, DisassociationConfig, Pipeline, RunSummary};
+use disassoc_store::publish::{self, AppendJob};
+use disassociation::pipeline::MultiSink;
+use disassociation::{AppendOptions, DisassociationConfig, Pipeline};
 use serde_json::Value;
 use transact::{io::RecordReader, Record, TermId};
 
@@ -519,9 +520,11 @@ fn anonymize(state: &Arc<State>, name: &str, request: &Request) -> Result<Respon
 /// The anonymize job body: store scan → pipeline → ChunkDir + flat file.
 ///
 /// Identical records, batch size, and config produce a `publication.chunks.json`
-/// byte-identical to `disassoc anonymize --store <dir> --out <prefix>` — both
-/// paths are the same `Pipeline` over the same `StoreSource` into the same
-/// `JsonChunksSink` (the integration suite diffs the two).
+/// byte-identical to `disassoc anonymize --store <dir> --out-prefix <prefix>`
+/// — both paths are the same `Pipeline` over the same `StoreSource` into the
+/// same `JsonChunksSink`, committed by the same
+/// [`publish_flat_file`](disassoc_store::publish::publish_flat_file) (the
+/// integration suite diffs the two).
 fn anonymize_job(
     handle: &DatasetHandle,
     name: &str,
@@ -531,30 +534,19 @@ fn anonymize_job(
     let (result, seconds) = obs_trace::span(names::SPAN_SERVE_ANONYMIZE_JOB, || {
         handle.with_store(|store| {
             handle.with_publication(|chunk_dir| {
-                let partial = handle.dir().join("publication.chunks.json.partial");
-                let result = (|| -> Result<(RunSummary, ChunkFileStats), ServeError> {
-                    let mut file_sink = JsonChunksSink::create(&partial, config)?;
+                publish::publish_flat_file(&handle.publication_path(), config, |file_sink| {
                     let mut sinks = MultiSink::new();
                     sinks.push(chunk_dir);
-                    sinks.push(&mut file_sink);
+                    sinks.push(file_sink);
                     let mut source = store.source(batch_size);
                     let summary = Pipeline::new(config.clone())
                         .source(&mut source)
                         .sink(&mut sinks)
                         .threads(0)
                         .run()?;
+                    drop(sinks);
                     Ok((summary, *file_sink.stats()))
-                })();
-                match result {
-                    Ok(ok) => {
-                        std::fs::rename(&partial, handle.publication_path())?;
-                        Ok(ok)
-                    }
-                    Err(e) => {
-                        std::fs::remove_file(&partial).ok();
-                        Err(e)
-                    }
-                }
+                })
             })
         })
     });
@@ -617,8 +609,9 @@ fn append(state: &Arc<State>, name: &str, request: &Request) -> Result<Response,
     })
 }
 
-/// The append job body: rebuild incremental state from the store, route the
-/// new records in, persist them, republish dirty chunks + the flat file.
+/// The append job body: the CLI's [`AppendJob`] — rebuild incremental state
+/// from the store under the whole thread budget, route the new records in,
+/// persist them, republish dirty chunks + the flat file.
 fn append_job(
     handle: &DatasetHandle,
     name: &str,
@@ -627,41 +620,25 @@ fn append_job(
     max_dirty_fraction: f64,
     records: &[Record],
 ) -> Result<Response, ServeError> {
+    let job = AppendJob {
+        config,
+        options: AppendOptions { max_dirty_fraction },
+        batch_size,
+        threads: 0,
+    };
     let (result, seconds) = obs_trace::span(names::SPAN_SERVE_APPEND_JOB, || {
         handle.with_store(|store| {
-            let mut pipeline = {
-                let mut source = store.source(batch_size);
-                disassociation::IncrementalPipeline::build(config.clone(), &mut source)?
-            };
-            let options = AppendOptions { max_dirty_fraction };
-            let outcome = pipeline.append_with(records, &options);
-            store.append_batch(records)?;
-            store.flush()?;
             handle.with_publication(|chunk_dir| {
-                if chunk_dir.is_empty() {
-                    pipeline.publish_all(chunk_dir)?;
-                } else {
-                    pipeline.publish_dirty(chunk_dir)?;
-                }
-                Ok(())
-            })?;
-            let partial = handle.dir().join("publication.chunks.json.partial");
-            let result = (|| -> Result<(), ServeError> {
-                let mut file_sink = JsonChunksSink::create(&partial, config)?;
-                pipeline.publish_all(&mut file_sink)?;
-                Ok(())
-            })();
-            match result {
-                Ok(()) => std::fs::rename(&partial, handle.publication_path())?,
-                Err(e) => {
-                    std::fs::remove_file(&partial).ok();
-                    return Err(e);
-                }
-            }
-            Ok(outcome)
+                job.run(
+                    store,
+                    records,
+                    Some(chunk_dir),
+                    Some(&handle.publication_path()),
+                )
+            })
         })
     });
-    let outcome = result?;
+    let outcome = result?.outcome;
     Ok(Response::json(
         200,
         obj(vec![

@@ -7,8 +7,8 @@
 //! atomic load.
 //!
 //! The names are part of the crate's public robustness contract:
-//! `disassoc-lint` rule DL001 checks that every raw I/O call on the store
-//! and CLI publication paths goes through the seam, and
+//! `disassoc-lint` rule DL001 checks that every raw I/O call on the store,
+//! CLI and daemon publication paths goes through the seam, and
 //! `tests/torture_store.rs` enumerates [`ALL`] crossed with fault modes.
 
 /// WAL entry payload write (supports torn/short writes).
@@ -50,9 +50,12 @@ pub const PUBLISH_COMMIT_SYNC: &str = "store.publish.commit.sync";
 pub const PUBLISH_COMMIT_RENAME: &str = "store.publish.commit.rename";
 /// Orphaned chunk-file garbage collection on open.
 pub const PUBLISH_GC: &str = "store.publish.gc";
-/// Flat-file publication: `.partial` fsync before the rename.
+/// Flat-file publication: `.partial` fsync before the rename.  Guards the
+/// daemon's `publication.chunks.json` as well as the CLI's file: both
+/// commit through [`crate::publish::commit_flat_file`].
 pub const CLI_PUBLISH_SYNC: &str = "cli.publish.sync";
-/// Flat-file publication: atomic rename (the commit point).
+/// Flat-file publication: atomic rename (the commit point), for the CLI and
+/// the daemon alike.
 pub const CLI_PUBLISH_RENAME: &str = "cli.publish.rename";
 
 /// Sites exercised by the ingest→spill→compact store workload.
@@ -82,7 +85,8 @@ pub const PUBLISH_SITES: &[&str] = &[
     PUBLISH_GC,
 ];
 
-/// Sites exercised by the CLI's single-file (non-chunked) publication.
+/// Sites exercised by the single-file (non-chunked) publication of the CLI
+/// and the daemon.
 pub const CLI_SITES: &[&str] = &[CLI_PUBLISH_SYNC, CLI_PUBLISH_RENAME];
 
 /// Every failpoint site in the store, in pipeline order.

@@ -19,15 +19,26 @@
 //! keep their old files byte-for-byte (and their manifest entries), which
 //! makes "clean chunks were not rewritten" directly observable from the
 //! file system.
+//!
+//! The module also holds the two publication protocols the CLI and the
+//! daemon share: [`publish_flat_file`] (the single-file `.chunks.json`
+//! publication: stage as `.partial`, commit with [`commit_flat_file`],
+//! remove on error) and [`AppendJob`] (rebuild from the store, append,
+//! persist, republish).
 
-use crate::{failpoints, Result, StoreError};
+use crate::{failpoints, Result, Store, StoreError};
 use disassoc_faults as faults;
 use disassoc_obs::metrics::counters as obs_counters;
-use disassociation::model::DisassociatedDataset;
-use disassociation::{BatchOutput, ChunkSink, SinkError};
+use disassociation::model::{ClusterNode, DisassociatedDataset};
+use disassociation::pipeline::JsonChunksSink;
+use disassociation::{
+    AppendOptions, AppendOutcome, BatchOutput, ChunkSink, DisassociationConfig, Pipeline, SinkError,
+};
 use serde::{Deserialize, Serialize};
 use std::fs::File;
+use std::io::BufWriter;
 use std::path::{Path, PathBuf};
+use transact::Record;
 
 /// File name of the chunk manifest inside a publication directory.
 pub const CHUNK_MANIFEST_FILE: &str = "CHUNKS.json";
@@ -114,10 +125,11 @@ impl ChunkManifest {
 
 /// Commits a fully staged `.partial` file to its final path: fsync the
 /// staged bytes, atomically rename onto `final_path` (the commit point),
-/// then fsync the parent directory so the rename itself is durable.  The
-/// CLI's flat-file (non-chunked) publication routes through
-/// here so the [`failpoints::CLI_SITES`] seam covers it: a crash anywhere
-/// leaves either the complete old publication or the complete new one.
+/// then fsync the parent directory so the rename itself is durable.  Every
+/// flat-file (non-chunked) publication — the CLI's and the daemon's —
+/// routes through here via [`publish_flat_file`], so the
+/// [`failpoints::CLI_SITES`] seam covers it: a crash anywhere leaves either
+/// the complete old publication or the complete new one.
 ///
 /// The caller is responsible for having finished writing `partial`; on
 /// error the staged file is left in place for the caller to clean up.
@@ -133,6 +145,109 @@ pub fn commit_flat_file(partial: &Path, final_path: &Path) -> Result<()> {
     };
     crate::sync_dir(dir)?;
     Ok(())
+}
+
+/// Publishes a flat `.chunks.json` file at `final_path`.
+///
+/// `write` streams the publication into a [`JsonChunksSink`] over the
+/// `<final_path>.partial` sibling — alone, or teed with a [`ChunkDir`]
+/// through a `MultiSink`; the sink is sealed and the file committed with
+/// [`commit_flat_file`] only after `write` succeeded.  On any error the
+/// partial file is removed, so a failed run never destroys an existing
+/// publication nor leaves a valid-looking truncated one behind.
+pub fn publish_flat_file<T, E>(
+    final_path: &Path,
+    config: &DisassociationConfig,
+    write: impl FnOnce(&mut JsonChunksSink<BufWriter<File>>) -> std::result::Result<T, E>,
+) -> std::result::Result<T, E>
+where
+    E: From<StoreError> + From<SinkError>,
+{
+    let mut partial = final_path.as_os_str().to_owned();
+    partial.push(".partial");
+    let partial = PathBuf::from(partial);
+    let result = JsonChunksSink::create(&partial, config)
+        .map_err(E::from)
+        .and_then(|mut sink| {
+            let value = write(&mut sink)?;
+            sink.finish()?;
+            drop(sink);
+            commit_flat_file(&partial, final_path)?;
+            Ok(value)
+        });
+    if result.is_err() {
+        std::fs::remove_file(&partial).ok();
+    }
+    result
+}
+
+/// One incremental append against a record store — the protocol shared by
+/// `disassoc append` and the daemon's append job.
+#[derive(Debug, Clone)]
+pub struct AppendJob<'a> {
+    /// The anonymization parameters of the publication.
+    pub config: &'a DisassociationConfig,
+    /// How far the append may dirty existing clusters.
+    pub options: AppendOptions,
+    /// Store-scan batch size of the rebuild (the publication's batching).
+    pub batch_size: usize,
+    /// Thread budget of the rebuild (`0` = one per core), as in
+    /// [`Pipeline::threads`].
+    pub threads: usize,
+}
+
+/// What an [`AppendJob`] did.
+#[derive(Debug, Clone, Copy)]
+pub struct Appended {
+    /// The incremental append's outcome.
+    pub outcome: AppendOutcome,
+    /// Pipeline batches after the append.
+    pub batches: usize,
+}
+
+impl AppendJob<'_> {
+    /// Rebuilds the incremental state from `store`'s records, routes
+    /// `records` into it, persists them (`append_batch` + `flush`), then
+    /// republishes: to `chunk_dir` (every batch into an empty directory,
+    /// else only the dirty ones — byte-identical batches are skipped either
+    /// way) and as the flat file `flat_file` via [`publish_flat_file`].
+    pub fn run<E>(
+        &self,
+        store: &mut Store,
+        records: &[Record],
+        chunk_dir: Option<&mut ChunkDir>,
+        flat_file: Option<&Path>,
+    ) -> std::result::Result<Appended, E>
+    where
+        E: From<StoreError> + From<SinkError> + From<disassociation::Error>,
+    {
+        let mut pipeline = {
+            let mut source = store.source(self.batch_size);
+            Pipeline::new(self.config.clone())
+                .source(&mut source)
+                .threads(self.threads)
+                .build_incremental()?
+        };
+        let outcome = pipeline.append_with(records, &self.options);
+        store.append_batch(records)?;
+        store.flush()?;
+        if let Some(chunk_dir) = chunk_dir {
+            if chunk_dir.is_empty() {
+                pipeline.publish_all(chunk_dir)?;
+            } else {
+                pipeline.publish_dirty(chunk_dir)?;
+            }
+        }
+        if let Some(path) = flat_file {
+            publish_flat_file(path, self.config, |sink| {
+                pipeline.publish_all(sink).map_err(E::from)
+            })?;
+        }
+        Ok(Appended {
+            outcome,
+            batches: pipeline.batch_count(),
+        })
+    }
 }
 
 /// The on-disk content of one published batch file.
@@ -210,6 +325,10 @@ impl ChunkDir {
             .iter()
             .find(|b| b.batch_index == batch_index)
             .ok_or_else(|| StoreError::corrupt(format!("batch {batch_index} is not published")))?;
+        self.read_entry(entry)
+    }
+
+    fn read_entry(&self, entry: &ChunkEntry) -> Result<BatchChunks> {
         let path = self.dir.join(&entry.file);
         let text = std::fs::read_to_string(&path)?;
         serde_json::from_str(&text).map_err(|e| StoreError::Corrupt {
@@ -221,23 +340,7 @@ impl ChunkDir {
     /// The combined published dataset across all committed batches, in
     /// batch order.  Returns `None` when nothing is published.
     pub fn combined_dataset(&self) -> Result<Option<DisassociatedDataset>> {
-        let mut combined: Option<DisassociatedDataset> = None;
-        for entry in &self.manifest.batches {
-            let batch = self.read_batch(entry.batch_index)?;
-            match &mut combined {
-                None => combined = Some(batch.dataset),
-                Some(d) => {
-                    if d.k != batch.dataset.k || d.m != batch.dataset.m {
-                        return Err(StoreError::corrupt(format!(
-                            "batch {} was published with (k={}, m={}), expected (k={}, m={})",
-                            entry.batch_index, batch.dataset.k, batch.dataset.m, d.k, d.m
-                        )));
-                    }
-                    d.clusters.extend(batch.dataset.clusters);
-                }
-            }
-        }
-        Ok(combined)
+        self.combined(|_| true)
     }
 
     /// The combined published dataset restricted to clusters that mention
@@ -249,21 +352,29 @@ impl ChunkDir {
         &self,
         term: transact::TermId,
     ) -> Result<Option<DisassociatedDataset>> {
+        self.combined(|node| node.mentions_term(term))
+    }
+
+    /// One scan over the committed batch files, keeping the clusters `keep`
+    /// accepts; every batch must have been published under the same
+    /// (k, m).
+    fn combined(
+        &self,
+        keep: impl Fn(&ClusterNode) -> bool,
+    ) -> Result<Option<DisassociatedDataset>> {
         let mut combined: Option<DisassociatedDataset> = None;
         for entry in &self.manifest.batches {
-            let mut batch = self.read_batch(entry.batch_index)?;
-            batch.dataset.clusters.retain(|n| n.mentions_term(term));
+            let mut batch = self.read_entry(entry)?.dataset;
+            batch.clusters.retain(&keep);
             match &mut combined {
-                None => combined = Some(batch.dataset),
-                Some(d) => {
-                    if d.k != batch.dataset.k || d.m != batch.dataset.m {
-                        return Err(StoreError::corrupt(format!(
-                            "batch {} was published with (k={}, m={}), expected (k={}, m={})",
-                            entry.batch_index, batch.dataset.k, batch.dataset.m, d.k, d.m
-                        )));
-                    }
-                    d.clusters.extend(batch.dataset.clusters);
+                None => combined = Some(batch),
+                Some(d) if (d.k, d.m) != (batch.k, batch.m) => {
+                    return Err(StoreError::corrupt(format!(
+                        "batch {} was published with (k={}, m={}), expected (k={}, m={})",
+                        entry.batch_index, batch.k, batch.m, d.k, d.m
+                    )));
                 }
+                Some(d) => d.clusters.extend(batch.clusters),
             }
         }
         Ok(combined)

@@ -8,13 +8,17 @@
 //! 2. **The counters tell the story**: `faults.injected`,
 //!    `serve.job_retries`, and `serve.datasets_degraded` all surface in
 //!    `GET /metrics`, and `GET /healthz` names the degraded dataset.
-//! 3. **Per-job wall-clock timeouts**: a job that outlives
+//! 3. **The daemon's flat file commits through the publication seam**: a
+//!    re-anonymize failing at `cli.publish.rename` or `cli.publish.sync`
+//!    leaves the previous `publication.chunks.json` byte-identical and no
+//!    `.partial` behind.
+//! 4. **Per-job wall-clock timeouts**: a job that outlives
 //!    `ServeConfig::job_reply_timeout` answers 504 without wedging the
 //!    daemon.
 //!
-//! The failpoint registry is process-global, so the tests serialize on one
-//! mutex and scope every armed fault to a dataset path under their own
-//! temp directory.
+//! The failpoint and metrics registries are process-global, so the tests
+//! serialize on one mutex, reset the metrics when they take it, and scope
+//! every armed fault to a dataset path under their own temp directory.
 
 use datagen::{QuestConfig, QuestGenerator};
 use disassoc_faults as faults;
@@ -31,6 +35,8 @@ static LOCK: Mutex<()> = Mutex::new(());
 fn guard() -> MutexGuard<'static, ()> {
     let g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     faults::disarm_all();
+    // Counter assertions must see only their own test's events.
+    disassoc_obs::metrics::reset_all();
     g
 }
 
@@ -171,6 +177,63 @@ fn persistent_write_failure_degrades_one_dataset_and_spares_the_rest() {
 
     // Disarm before the drain so shutdown's store flushes stay healthy.
     faults::disarm_all();
+    shutdown.shutdown();
+    join.join().unwrap().unwrap();
+    std::fs::remove_dir_all(&data_dir).ok();
+}
+
+#[test]
+fn failed_flat_file_commit_keeps_the_previous_publication() {
+    let _g = guard();
+    let data_dir = tmpdir("flatfile");
+    let (addr, shutdown, join) = spawn_server(&data_dir, ServeConfig::default());
+
+    for (name, site) in [
+        ("rename", failpoints::CLI_PUBLISH_RENAME),
+        ("sync", failpoints::CLI_PUBLISH_SYNC),
+    ] {
+        let records = |seed| numeric_body(&quest(200, 50, seed));
+        let ingest =
+            client::post(addr, &format!("/datasets/{name}/records"), &records(21)).unwrap();
+        assert_eq!(ingest.status, 200, "{}", ingest.text());
+        let anon = client::post(addr, &format!("/datasets/{name}/anonymize?k=3&m=2"), b"").unwrap();
+        assert_eq!(anon.status, 200, "{}", anon.text());
+        let published = data_dir.join(name).join("publication.chunks.json");
+        let before = std::fs::read(&published).unwrap();
+
+        // More records, so a successful re-anonymize would change the file.
+        let more = client::post(addr, &format!("/datasets/{name}/records"), &records(22)).unwrap();
+        assert_eq!(more.status, 200, "{}", more.text());
+        faults::arm(
+            site,
+            faults::Policy::error().when_path_contains(format!("/{name}/")),
+        );
+        let failed =
+            client::post(addr, &format!("/datasets/{name}/anonymize?k=3&m=2"), b"").unwrap();
+        let triggers = faults::site_stats(site).map_or(0, |s| s.triggers);
+        faults::disarm(site);
+        assert_ne!(failed.status, 200, "{site}: {}", failed.text());
+        assert!(
+            triggers >= 1,
+            "{site}: the daemon's flat-file commit never consulted the seam"
+        );
+
+        assert_eq!(
+            std::fs::read(&published).unwrap(),
+            before,
+            "{site}: the previous publication must survive byte for byte"
+        );
+        let served = client::get(addr, &format!("/datasets/{name}/chunks")).unwrap();
+        assert_eq!(served.body, before, "{site}");
+        assert!(
+            !data_dir
+                .join(name)
+                .join("publication.chunks.json.partial")
+                .exists(),
+            "{site}: a failed commit must not leave its .partial behind"
+        );
+    }
+
     shutdown.shutdown();
     join.join().unwrap().unwrap();
     std::fs::remove_dir_all(&data_dir).ok();

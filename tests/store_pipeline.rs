@@ -4,7 +4,8 @@
 //! 1. `ingest` followed by store-backed streaming anonymization publishes a
 //!    **byte-identical** dataset to the in-memory path on the same records
 //!    and batch size — and, with a single batch, to the monolithic
-//!    `Disassociator` path.
+//!    `Disassociator` path.  `Pipeline::build_incremental` publishes the
+//!    same bytes at one and at two threads, and lands one append the same.
 //! 2. During a store-backed run, batches are pulled **lazily**: at the
 //!    moment batch *i* finishes anonymizing, exactly *i + 1* batches have
 //!    ever been drawn from the source, so original-record residency is
@@ -21,7 +22,7 @@ use disassoc_store::{Store, StoreConfig};
 use disassociation::pipeline::{
     CollectSink, DatasetSource, FnSink, IterSource, Pipeline, RecordSource,
 };
-use disassociation::{DisassociationConfig, Disassociator};
+use disassociation::{DisassociationConfig, Disassociator, IncrementalPipeline};
 use std::cell::Cell;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
@@ -97,6 +98,12 @@ fn publish_bytes(source: &mut dyn RecordSource) -> Vec<u8> {
     serde_json::to_vec_pretty(&sink.into_output().dataset).unwrap()
 }
 
+fn publish_all_bytes(pipeline: &mut IncrementalPipeline) -> Vec<u8> {
+    let mut sink = CollectSink::for_config(&config());
+    pipeline.publish_all(&mut sink).unwrap();
+    serde_json::to_vec_pretty(&sink.into_output().dataset).unwrap()
+}
+
 #[test]
 fn store_scan_reproduces_the_ingested_records_exactly() {
     let dir = tmpdir("roundtrip");
@@ -128,6 +135,24 @@ fn store_backed_output_is_byte_identical_to_in_memory_output() {
         single,
         serde_json::to_vec_pretty(&monolithic.dataset).unwrap()
     );
+
+    // The incremental build runs on the same batch driver: at any thread
+    // budget it publishes the same bytes, and one append lands the same.
+    let delta = &dataset.records()[..30];
+    let incremental = |threads: usize| {
+        let mut source = store.source(BATCH);
+        let mut pipeline = Pipeline::new(config())
+            .source(&mut source)
+            .threads(threads)
+            .build_incremental()
+            .unwrap();
+        let base = publish_all_bytes(&mut pipeline);
+        let outcome = pipeline.append(delta);
+        (base, outcome, publish_all_bytes(&mut pipeline))
+    };
+    let serial = incremental(1);
+    assert_eq!(serial.0, from_store);
+    assert_eq!(incremental(2), serial);
     std::fs::remove_dir_all(&dir).ok();
 }
 
