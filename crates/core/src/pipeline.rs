@@ -447,7 +447,10 @@ impl ChunkFileStats {
 /// A streaming `.chunks.json` writer: each batch's cluster nodes are
 /// serialized and written **as they arrive**, so published-output residency
 /// is bounded by one batch — the whole-file JSON document is never held in
-/// memory.
+/// memory.  Each top-level node is rendered straight from the typed model by
+/// the serde shim's JSON writer, already indented as an element of the
+/// document's `clusters` array, into one reused buffer that is then written
+/// out whole.
 ///
 /// The finished file is **byte-identical** to
 /// `serde_json::to_vec_pretty(&DisassociatedDataset)` of the equivalent
@@ -465,6 +468,8 @@ pub struct JsonChunksSink<W: Write> {
     clusters_written: usize,
     finished: bool,
     stats: ChunkFileStats,
+    /// One cluster node's rendering, reused across nodes.
+    buf: Vec<u8>,
 }
 
 impl<W: Write> JsonChunksSink<W> {
@@ -477,6 +482,7 @@ impl<W: Write> JsonChunksSink<W> {
             clusters_written: 0,
             finished: false,
             stats: ChunkFileStats::default(),
+            buf: Vec::new(),
         }
     }
 }
@@ -510,23 +516,23 @@ impl<W: Write> JsonChunksSink<W> {
     }
 
     fn write_cluster(&mut self, node: &ClusterNode) -> Result<(), SinkError> {
-        let rendered = serde_json::to_string_pretty(node)
-            .map_err(|e| SinkError::new("serializing a cluster node", e))?;
-        let mut out = String::with_capacity(rendered.len() + 64);
+        let out = &mut self.buf;
+        out.clear();
         if self.clusters_written == 0 {
-            // The document prefix, matching `to_string_pretty`'s two-space
+            // The document prefix, matching `to_vec_pretty`'s two-space
             // indentation of `DisassociatedDataset { k, m, clusters }`.
-            out.push_str(&format!(
+            let prefix = format!(
                 "{{\n  \"k\": {},\n  \"m\": {},\n  \"clusters\": [\n    ",
                 self.k, self.m
-            ));
+            );
+            out.extend_from_slice(prefix.as_bytes());
         } else {
-            out.push_str(",\n    ");
+            out.extend_from_slice(b",\n    ");
         }
-        // Re-indent the standalone rendering to element depth (4 spaces).
-        out.push_str(&rendered.replace('\n', "\n    "));
+        // An element of `clusters`, two containers deep.
+        serde_json::write_pretty_at(out, node, 2);
         self.writer
-            .write_all(out.as_bytes())
+            .write_all(out)
             .map_err(|e| SinkError::new("writing published chunks", e))?;
         self.clusters_written += 1;
         Ok(())

@@ -261,6 +261,19 @@ pub struct BatchChunks {
     pub dataset: DisassociatedDataset,
 }
 
+/// The compact JSON of `batch` as a [`BatchChunks`], written field by field
+/// from the borrowed batch so staging never copies its clusters.
+fn batch_file_bytes(batch: &BatchOutput) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    let mut out = serde_json::JsonWriter::compact(&mut bytes);
+    out.begin_object();
+    out.field("batch_index", &batch.batch_index);
+    out.field("record_offset", &batch.record_offset);
+    out.field("dataset", &batch.output.dataset);
+    out.end_object();
+    bytes
+}
+
 /// A manifest-committed directory of published chunk files — the
 /// [`ChunkSink`] for store-backed (and incremental) runs.
 ///
@@ -392,15 +405,7 @@ impl ChunkDir {
     fn stage(&mut self, batch: &BatchOutput) -> Result<()> {
         let generation = self.next_generation();
         let file = Self::file_name(batch.batch_index, generation);
-        let content = BatchChunks {
-            batch_index: batch.batch_index,
-            record_offset: batch.record_offset,
-            dataset: batch.output.dataset.clone(),
-        };
-        let bytes = serde_json::to_vec(&content).map_err(|e| StoreError::Corrupt {
-            file: file.clone(),
-            message: format!("chunk serialization failed: {e}"),
-        })?;
+        let bytes = batch_file_bytes(batch);
         // Re-publishing content identical to the committed file is a no-op:
         // the committed entry (name, generation, bytes) stays as it is.
         // This keeps "clean chunks are never rewritten" true even for
@@ -566,6 +571,18 @@ mod tests {
         assert_eq!(combined.clusters.len(), 2);
         assert_eq!(reopened.read_batch(1).unwrap().record_offset, 2);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn staged_bytes_are_the_compact_json_of_batch_chunks() {
+        let staged = batch(1, 20);
+        let derived = serde_json::to_vec(&BatchChunks {
+            batch_index: 1,
+            record_offset: 2,
+            dataset: staged.output.dataset.clone(),
+        })
+        .unwrap();
+        assert_eq!(batch_file_bytes(&staged), derived);
     }
 
     #[test]

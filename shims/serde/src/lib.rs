@@ -7,11 +7,14 @@
 //! support for the `#[serde(skip)]` and `#[serde(default)]` attributes), and
 //! impls for the std types that appear in the data model.
 //!
-//! Unlike upstream serde there is no `Serializer`/`Deserializer` abstraction:
-//! values convert to and from a single JSON-like [`Value`] tree, and the
-//! companion `serde_json` shim renders/parses that tree. Round-trips through
-//! `serde_json` are lossless for every type in this workspace (integers are
-//! kept as `i128`, so `u64` seeds survive exactly).
+//! Unlike upstream serde there is no `Serializer`/`Deserializer` abstraction
+//! and the only format is JSON. Serialization writes JSON text directly:
+//! every [`Serialize`] impl appends itself to a [`JsonWriter`], a byte buffer
+//! plus the compact or pretty indent state, so no intermediate tree is
+//! built. Deserialization goes through a JSON-like [`Value`] tree that the
+//! companion `serde_json` shim parses. Round-trips through `serde_json` are
+//! lossless for every type in this workspace (integers are parsed as
+//! `i128`, so `u64` seeds survive exactly).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,7 +24,8 @@ pub use serde_derive::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasher, Hash};
 
-/// A JSON-like value tree — the single interchange format of this shim.
+/// A JSON-like value tree: what the `serde_json` shim parses JSON into and
+/// [`Deserialize`] impls read.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -85,10 +89,248 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Types that can be converted into a [`Value`] tree.
+/// A JSON text writer: the target of every [`Serialize`] impl.
+///
+/// Appends to a byte buffer, either compact or pretty-printed with
+/// `serde_json`'s layout (two-space indent, `"key": value`, empty
+/// containers as `[]`/`{}`). A pretty writer may start at any nesting depth,
+/// so a value can be rendered directly as an element of an enclosing
+/// document. Containers are written with `begin_*` / [`element`] or
+/// [`field`] / `end_*`.
+///
+/// [`element`]: JsonWriter::element
+/// [`field`]: JsonWriter::field
+#[derive(Debug)]
+pub struct JsonWriter<'a> {
+    out: &'a mut Vec<u8>,
+    pretty: bool,
+    depth: usize,
+    /// Whether the innermost open container already holds a value.
+    has_value: bool,
+}
+
+impl<'a> JsonWriter<'a> {
+    /// A writer appending compact JSON (no whitespace) to `out`.
+    pub fn compact(out: &'a mut Vec<u8>) -> Self {
+        JsonWriter {
+            out,
+            pretty: false,
+            depth: 0,
+            has_value: false,
+        }
+    }
+
+    /// A writer appending pretty JSON to `out`, indented as if the value
+    /// were nested `depth` containers deep (its first line is not indented).
+    pub fn pretty(out: &'a mut Vec<u8>, depth: usize) -> Self {
+        JsonWriter {
+            out,
+            pretty: true,
+            depth,
+            has_value: false,
+        }
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) {
+        self.out.extend_from_slice(b"null");
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, v: bool) {
+        self.out
+            .extend_from_slice(if v { b"true" } else { b"false" });
+    }
+
+    /// Writes an unsigned integer.
+    pub fn u64(&mut self, mut v: u64) {
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.out.extend_from_slice(&digits[start..]);
+    }
+
+    /// Writes a signed integer.
+    pub fn i64(&mut self, v: i64) {
+        if v < 0 {
+            self.out.push(b'-');
+        }
+        self.u64(v.unsigned_abs());
+    }
+
+    /// Writes an integer of [`Value::Int`]'s width.
+    fn i128(&mut self, v: i128) {
+        match i64::try_from(v) {
+            Ok(v) => self.i64(v),
+            Err(_) => self.display(v),
+        }
+    }
+
+    /// Writes a float in Rust's shortest round-trippable form, always with a
+    /// fractional part so it re-parses as a float; non-finite floats become
+    /// `null`.
+    pub fn f64(&mut self, v: f64) {
+        if !v.is_finite() {
+            return self.null();
+        }
+        let start = self.out.len();
+        self.display(v);
+        if !self.out[start..]
+            .iter()
+            .any(|b| matches!(b, b'.' | b'e' | b'E'))
+        {
+            self.out.extend_from_slice(b".0");
+        }
+    }
+
+    fn display(&mut self, v: impl std::fmt::Display) {
+        use std::io::Write;
+        write!(self.out, "{v}").expect("writing to a Vec cannot fail");
+    }
+
+    /// Writes a string literal, escaping quotes, backslashes and control
+    /// characters.
+    pub fn str(&mut self, s: &str) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        self.out.push(b'"');
+        let bytes = s.as_bytes();
+        let mut run = 0;
+        for (i, &b) in bytes.iter().enumerate() {
+            let mut unicode = *b"\\u0000";
+            let escape: &[u8] = match b {
+                b'"' => b"\\\"",
+                b'\\' => b"\\\\",
+                b'\n' => b"\\n",
+                b'\r' => b"\\r",
+                b'\t' => b"\\t",
+                0x00..=0x1f => {
+                    unicode[4] = HEX[usize::from(b >> 4)];
+                    unicode[5] = HEX[usize::from(b & 0xf)];
+                    &unicode
+                }
+                _ => continue,
+            };
+            self.out.extend_from_slice(&bytes[run..i]);
+            self.out.extend_from_slice(escape);
+            run = i + 1;
+        }
+        self.out.extend_from_slice(&bytes[run..]);
+        self.out.push(b'"');
+    }
+
+    /// Opens an array.
+    pub fn begin_array(&mut self) {
+        self.open(b'[');
+    }
+
+    /// Writes one array element.
+    pub fn element<T: Serialize + ?Sized>(&mut self, value: &T) {
+        self.separate();
+        value.serialize(self);
+        self.has_value = true;
+    }
+
+    /// Closes the innermost array.
+    pub fn end_array(&mut self) {
+        self.close(b']');
+    }
+
+    /// Writes every item of `items` as one array.
+    pub fn seq<I>(&mut self, items: I)
+    where
+        I: IntoIterator,
+        I::Item: Serialize,
+    {
+        self.begin_array();
+        for item in items {
+            self.element(&item);
+        }
+        self.end_array();
+    }
+
+    /// Opens an object.
+    pub fn begin_object(&mut self) {
+        self.open(b'{');
+    }
+
+    /// Writes one object field.
+    pub fn field<T: Serialize + ?Sized>(&mut self, key: &str, value: &T) {
+        self.field_with(key, |w| value.serialize(w));
+    }
+
+    /// Writes one object field whose value `write` emits.
+    pub fn field_with(&mut self, key: &str, write: impl FnOnce(&mut Self)) {
+        self.separate();
+        self.str(key);
+        self.out
+            .extend_from_slice(if self.pretty { b": " } else { b":" });
+        write(self);
+        self.has_value = true;
+    }
+
+    /// Closes the innermost object.
+    pub fn end_object(&mut self) {
+        self.close(b'}');
+    }
+
+    fn open(&mut self, bracket: u8) {
+        self.out.push(bracket);
+        self.depth += 1;
+        self.has_value = false;
+    }
+
+    fn close(&mut self, bracket: u8) {
+        self.depth -= 1;
+        if self.has_value {
+            self.newline();
+        }
+        self.out.push(bracket);
+    }
+
+    /// The comma and line break before the next element or field.
+    fn separate(&mut self) {
+        match (self.pretty, self.has_value) {
+            (true, has_value) => self.line_break(usize::from(!has_value)),
+            (false, true) => self.out.push(b','),
+            (false, false) => {}
+        }
+    }
+
+    fn newline(&mut self) {
+        if self.pretty {
+            self.line_break(1);
+        }
+    }
+
+    /// Writes `BREAK[start..]` cut to the current indent: `start` 0 keeps
+    /// the leading comma, 1 drops it.
+    fn line_break(&mut self, start: usize) {
+        let end = 2 + 2 * self.depth;
+        if end <= BREAK.len() {
+            self.out.extend_from_slice(&BREAK[start..end]);
+        } else {
+            self.out.extend_from_slice(&BREAK[start..2]);
+            let indented = self.out.len() + 2 * self.depth;
+            self.out.resize(indented, b' ');
+        }
+    }
+}
+
+/// A comma, a line break and the indent of the deepest nesting one copy
+/// covers (31 levels).
+const BREAK: &[u8; 64] = b",\n                                                              ";
+
+/// Types that can be written as JSON.
 pub trait Serialize {
-    /// Converts `self` into a value tree.
-    fn to_value(&self) -> Value;
+    /// Appends `self` to `out`.
+    fn serialize(&self, out: &mut JsonWriter<'_>);
 }
 
 /// Types that can be reconstructed from a [`Value`] tree.
@@ -98,14 +340,28 @@ pub trait Deserialize: Sized {
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, out: &mut JsonWriter<'_>) {
+        (**self).serialize(out);
     }
 }
 
 impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
+    fn serialize(&self, out: &mut JsonWriter<'_>) {
+        match self {
+            Value::Null => out.null(),
+            Value::Bool(b) => out.bool(*b),
+            Value::Int(i) => out.i128(*i),
+            Value::Float(f) => out.f64(*f),
+            Value::Str(s) => out.str(s),
+            Value::Array(items) => out.seq(items),
+            Value::Object(fields) => {
+                out.begin_object();
+                for (key, value) in fields {
+                    out.field(key, value);
+                }
+                out.end_object();
+            }
+        }
     }
 }
 
@@ -116,8 +372,8 @@ impl Deserialize for Value {
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize(&self, out: &mut JsonWriter<'_>) {
+        out.bool(*self);
     }
 }
 
@@ -131,10 +387,10 @@ impl Deserialize for bool {
 }
 
 macro_rules! impl_int {
-    ($($t:ty),*) => {$(
+    ($write:ident as $wide:ty: $($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Int(*self as i128)
+            fn serialize(&self, out: &mut JsonWriter<'_>) {
+                out.$write(*self as $wide);
             }
         }
         impl Deserialize for $t {
@@ -150,13 +406,14 @@ macro_rules! impl_int {
     )*};
 }
 
-impl_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_int!(u64 as u64: u8, u16, u32, u64, usize);
+impl_int!(i64 as i64: i8, i16, i32, i64, isize);
 
 macro_rules! impl_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Float(*self as f64)
+            fn serialize(&self, out: &mut JsonWriter<'_>) {
+                out.f64((*self).into());
             }
         }
         impl Deserialize for $t {
@@ -176,8 +433,8 @@ macro_rules! impl_float {
 impl_float!(f32, f64);
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
+    fn serialize(&self, out: &mut JsonWriter<'_>) {
+        out.str(self);
     }
 }
 
@@ -191,14 +448,14 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_owned())
+    fn serialize(&self, out: &mut JsonWriter<'_>) {
+        out.str(self);
     }
 }
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize(&self, out: &mut JsonWriter<'_>) {
+        out.str(self.encode_utf8(&mut [0; 4]));
     }
 }
 
@@ -212,10 +469,10 @@ impl Deserialize for char {
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, out: &mut JsonWriter<'_>) {
         match self {
-            None => Value::Null,
-            Some(x) => x.to_value(),
+            None => out.null(),
+            Some(x) => x.serialize(out),
         }
     }
 }
@@ -230,8 +487,8 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, out: &mut JsonWriter<'_>) {
+        (**self).serialize(out);
     }
 }
 
@@ -242,8 +499,8 @@ impl<T: Deserialize> Deserialize for Box<T> {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, out: &mut JsonWriter<'_>) {
+        out.seq(self);
     }
 }
 
@@ -258,14 +515,14 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, out: &mut JsonWriter<'_>) {
+        out.seq(self);
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, out: &mut JsonWriter<'_>) {
+        out.seq(self);
     }
 }
 
@@ -277,8 +534,8 @@ impl<T: Deserialize + std::fmt::Debug, const N: usize> Deserialize for [T; N] {
 }
 
 impl<T: Serialize + Ord> Serialize for BTreeSet<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, out: &mut JsonWriter<'_>) {
+        out.seq(self);
     }
 }
 
@@ -293,8 +550,8 @@ impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
 }
 
 impl<T: Serialize + Eq + Hash, S: BuildHasher> Serialize for HashSet<T, S> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, out: &mut JsonWriter<'_>) {
+        out.seq(self);
     }
 }
 
@@ -309,8 +566,8 @@ impl<T: Deserialize + Eq + Hash, S: BuildHasher + Default> Deserialize for HashS
 }
 
 impl<T: Serialize> Serialize for VecDeque<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, out: &mut JsonWriter<'_>) {
+        out.seq(self);
     }
 }
 
@@ -328,12 +585,8 @@ impl<T: Deserialize> Deserialize for VecDeque<T> {
 // are not always strings, and the representation only needs to round-trip
 // through the companion `serde_json` shim.
 impl<K: Serialize + Ord, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Array(
-            self.iter()
-                .map(|(k, v)| Value::Array(vec![k.to_value(), v.to_value()]))
-                .collect(),
-        )
+    fn serialize(&self, out: &mut JsonWriter<'_>) {
+        out.seq(self);
     }
 }
 
@@ -344,12 +597,8 @@ impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
 }
 
 impl<K: Serialize + Eq + Hash, V: Serialize, S: BuildHasher> Serialize for HashMap<K, V, S> {
-    fn to_value(&self) -> Value {
-        Value::Array(
-            self.iter()
-                .map(|(k, v)| Value::Array(vec![k.to_value(), v.to_value()]))
-                .collect(),
-        )
+    fn serialize(&self, out: &mut JsonWriter<'_>) {
+        out.seq(self);
     }
 }
 
@@ -380,8 +629,10 @@ fn map_pairs<'a, K: Deserialize, V: Deserialize>(
 macro_rules! impl_tuple {
     ($(($($name:ident : $idx:tt),+))*) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_value()),+])
+            fn serialize(&self, out: &mut JsonWriter<'_>) {
+                out.begin_array();
+                $(out.element(&self.$idx);)+
+                out.end_array();
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
@@ -405,8 +656,8 @@ impl_tuple! {
 }
 
 impl Serialize for () {
-    fn to_value(&self) -> Value {
-        Value::Null
+    fn serialize(&self, out: &mut JsonWriter<'_>) {
+        out.null();
     }
 }
 
@@ -421,26 +672,39 @@ mod tests {
     use super::*;
 
     #[test]
-    fn primitive_round_trips() {
-        assert_eq!(u64::from_value(&u64::MAX.to_value()).unwrap(), u64::MAX);
-        assert_eq!(i64::from_value(&(-7i64).to_value()).unwrap(), -7);
-        assert_eq!(String::from_value(&"hi".to_value()).unwrap(), "hi");
+    fn pretty_writer_starts_at_the_given_depth() {
+        let mut out = Vec::new();
+        vec![vec![1u32], vec![]].serialize(&mut JsonWriter::pretty(&mut out, 1));
         assert_eq!(
-            Vec::<u32>::from_value(&vec![1u32, 2, 3].to_value()).unwrap(),
-            vec![1, 2, 3]
-        );
-        assert_eq!(
-            Option::<u32>::from_value(&None::<u32>.to_value()).unwrap(),
-            None
+            String::from_utf8(out).unwrap(),
+            "[\n    [\n      1\n    ],\n    []\n  ]"
         );
     }
 
     #[test]
-    fn map_round_trip_with_non_string_keys() {
-        let mut m = BTreeMap::new();
-        m.insert(3u32, "three".to_string());
-        m.insert(7, "seven".to_string());
-        let back = BTreeMap::<u32, String>::from_value(&m.to_value()).unwrap();
-        assert_eq!(back, m);
+    fn primitives_deserialize_from_value_trees() {
+        let int = |i: i128| Value::Int(i);
+        assert_eq!(u64::from_value(&int(u64::MAX.into())).unwrap(), u64::MAX);
+        assert!(u32::from_value(&int(-1)).is_err());
+        assert_eq!(i64::from_value(&int(-7)).unwrap(), -7);
+        assert_eq!(String::from_value(&Value::Str("hi".into())).unwrap(), "hi");
+        assert_eq!(
+            Vec::<u32>::from_value(&Value::Array(vec![int(1), int(2)])).unwrap(),
+            vec![1, 2]
+        );
+        assert_eq!(Option::<u32>::from_value(&Value::Null).unwrap(), None);
+        assert!(f64::from_value(&Value::Null).unwrap().is_nan());
+    }
+
+    #[test]
+    fn maps_deserialize_from_key_value_pairs() {
+        let pair = |k: i128, v: &str| Value::Array(vec![Value::Int(k), Value::Str(v.into())]);
+        let tree = Value::Array(vec![pair(3, "three"), pair(7, "seven")]);
+        let back = BTreeMap::<u32, String>::from_value(&tree).unwrap();
+        assert_eq!(
+            back,
+            BTreeMap::from([(3, "three".into()), (7, "seven".into())])
+        );
+        assert!(BTreeMap::<u32, String>::from_value(&Value::Array(vec![Value::Int(1)])).is_err());
     }
 }

@@ -8,6 +8,8 @@
 //! else is a compile error so that silent divergence from upstream serde
 //! semantics cannot creep in.
 //!
+//! `Serialize` impls write JSON text straight into the shim's
+//! `serde::JsonWriter`; `Deserialize` impls read the shim's `Value` tree.
 //! Serialized forms mirror upstream serde's JSON conventions: structs become
 //! objects, newtype structs are transparent, unit enum variants become
 //! strings, and data-carrying variants become externally tagged
@@ -274,72 +276,59 @@ fn gen_serialize(input: &Input) -> String {
     let name = &input.name;
     let body = match &input.kind {
         InputKind::NamedStruct(fields) => {
-            let mut pushes = String::new();
-            for f in fields {
-                if f.skip {
-                    continue;
-                }
-                pushes.push_str(&format!(
-                    "__fields.push((\"{n}\".to_string(), ::serde::Serialize::to_value(&self.{n})));\n",
-                    n = f.name
-                ));
-            }
-            format!(
-                "let mut __fields: Vec<(String, ::serde::Value)> = Vec::new();\n\
-                 {pushes}\
-                 ::serde::Value::Object(__fields)"
-            )
+            let fields = gen_field_writes(fields, "&self.");
+            format!("__w.begin_object();\n{fields}__w.end_object();")
         }
-        InputKind::TupleStruct(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
+        InputKind::TupleStruct(1) => "::serde::Serialize::serialize(&self.0, __w);".to_string(),
         InputKind::TupleStruct(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
+            let items: String = (0..*n)
+                .map(|i| format!("__w.element(&self.{i});\n"))
                 .collect();
-            format!("::serde::Value::Array(vec![{}])", items.join(", "))
+            format!("__w.begin_array();\n{items}__w.end_array();")
         }
-        InputKind::UnitStruct => "::serde::Value::Null".to_string(),
+        InputKind::UnitStruct => "__w.null();".to_string(),
         InputKind::Enum(variants) => {
             let arms: Vec<String> = variants
                 .iter()
                 .map(|v| {
                     let vn = &v.name;
+                    // Data-carrying variants: `{"Variant": payload}`.
+                    let tagged = |pattern: String, payload: String| {
+                        format!(
+                            "{name}::{vn}{pattern} => {{\n\
+                                 __w.begin_object();\n\
+                                 __w.field_with(\"{vn}\", |__w| {{\n{payload}}});\n\
+                                 __w.end_object();\n\
+                             }}"
+                        )
+                    };
                     match &v.kind {
-                        VariantKind::Unit => format!(
-                            "{name}::{vn} => ::serde::Value::Str(\"{vn}\".to_string()),"
+                        VariantKind::Unit => format!("{name}::{vn} => __w.str(\"{vn}\"),"),
+                        VariantKind::Tuple(1) => tagged(
+                            "(__x0)".to_string(),
+                            "::serde::Serialize::serialize(__x0, __w);\n".to_string(),
                         ),
                         VariantKind::Tuple(n) => {
                             let binds: Vec<String> = (0..*n).map(|i| format!("__x{i}")).collect();
-                            let payload = if *n == 1 {
-                                "::serde::Serialize::to_value(__x0)".to_string()
-                            } else {
-                                let items: Vec<String> = binds
-                                    .iter()
-                                    .map(|b| format!("::serde::Serialize::to_value({b})"))
-                                    .collect();
-                                format!("::serde::Value::Array(vec![{}])", items.join(", "))
-                            };
-                            format!(
-                                "{name}::{vn}({binds}) => ::serde::Value::Object(vec![(\"{vn}\".to_string(), {payload})]),",
-                                binds = binds.join(", ")
+                            let items: String = binds
+                                .iter()
+                                .map(|b| format!("__w.element({b});\n"))
+                                .collect();
+                            tagged(
+                                format!("({})", binds.join(", ")),
+                                format!("__w.begin_array();\n{items}__w.end_array();\n"),
                             )
                         }
                         VariantKind::Struct(fields) => {
-                            let binds: Vec<String> =
-                                fields.iter().map(|f| f.name.clone()).collect();
-                            let items: Vec<String> = fields
+                            let binds: String = fields
                                 .iter()
                                 .filter(|f| !f.skip)
-                                .map(|f| {
-                                    format!(
-                                        "(\"{n}\".to_string(), ::serde::Serialize::to_value({n}))",
-                                        n = f.name
-                                    )
-                                })
+                                .map(|f| format!("{}, ", f.name))
                                 .collect();
-                            format!(
-                                "{name}::{vn} {{ {binds} }} => ::serde::Value::Object(vec![(\"{vn}\".to_string(), ::serde::Value::Object(vec![{items}]))]),",
-                                binds = binds.join(", "),
-                                items = items.join(", ")
+                            let writes = gen_field_writes(fields, "");
+                            tagged(
+                                format!(" {{ {binds}.. }}"),
+                                format!("__w.begin_object();\n{writes}__w.end_object();\n"),
                             )
                         }
                     }
@@ -350,9 +339,19 @@ fn gen_serialize(input: &Input) -> String {
     };
     format!(
         "impl ::serde::Serialize for {name} {{\n\
-            fn to_value(&self) -> ::serde::Value {{\n{body}\n}}\n\
+            fn serialize(&self, __w: &mut ::serde::JsonWriter<'_>) {{\n{body}\n}}\n\
          }}"
     )
+}
+
+/// One `__w.field(..)` call per non-skipped field, reading each field
+/// through `{access}{name}`.
+fn gen_field_writes(fields: &[Field], access: &str) -> String {
+    fields
+        .iter()
+        .filter(|f| !f.skip)
+        .map(|f| format!("__w.field(\"{n}\", {access}{n});\n", n = f.name))
+        .collect()
 }
 
 fn gen_named_field_inits(fields: &[Field], obj_expr: &str, type_name: &str) -> String {

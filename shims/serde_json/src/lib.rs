@@ -1,40 +1,52 @@
-//! Minimal offline stand-in for `serde_json`, rendering and parsing the
-//! [`serde::Value`] tree of the vendored serde shim.
+//! Minimal offline stand-in for `serde_json` over the vendored serde shim.
 //!
 //! Supports the functions used in this workspace: [`to_string`],
-//! [`to_string_pretty`], [`to_vec_pretty`], [`from_str`], plus
-//! [`to_value`]/[`from_value`] conversions. Output is valid JSON; integers
-//! round-trip exactly (including `u64`), floats use Rust's shortest
-//! round-trippable formatting, and non-finite floats serialize as `null`
-//! (deserializing back to `NaN`).
+//! [`to_string_pretty`], [`to_vec`], [`to_vec_pretty`], [`write_pretty_at`],
+//! [`from_str`] and [`from_slice`]. The `to_*` functions are thin wrappers
+//! over [`serde::JsonWriter`], which every `Serialize` impl writes JSON text
+//! into directly; parsing builds a [`Value`] tree that `Deserialize` impls
+//! read. Output is valid JSON; integers round-trip exactly (including
+//! `u64`), floats use Rust's shortest round-trippable formatting, and
+//! non-finite floats serialize as `null` (deserializing back to `NaN`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use serde::{Error, Value};
+pub use serde::{Error, JsonWriter, Value};
 
 /// Serializes `value` as a compact JSON string.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
-    Ok(out)
+    to_vec(value).and_then(into_string)
 }
 
 /// Serializes `value` as pretty-printed JSON (two-space indent).
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0);
-    Ok(out)
+    to_vec_pretty(value).and_then(into_string)
 }
 
 /// Serializes `value` as pretty-printed JSON bytes.
 pub fn to_vec_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error> {
-    to_string_pretty(value).map(String::into_bytes)
+    let mut out = Vec::new();
+    write_pretty_at(&mut out, value, 0);
+    Ok(out)
 }
 
 /// Serializes `value` as compact JSON bytes.
 pub fn to_vec<T: serde::Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error> {
-    to_string(value).map(String::into_bytes)
+    let mut out = Vec::new();
+    value.serialize(&mut JsonWriter::compact(&mut out));
+    Ok(out)
+}
+
+/// Appends `value` to `out` as pretty-printed JSON indented as if nested
+/// `depth` containers deep, so it can be spliced into an enclosing pretty
+/// document as one of its elements (the first line is not indented).
+pub fn write_pretty_at<T: serde::Serialize + ?Sized>(out: &mut Vec<u8>, value: &T, depth: usize) {
+    value.serialize(&mut JsonWriter::pretty(out, depth));
+}
+
+fn into_string(bytes: Vec<u8>) -> Result<String, Error> {
+    String::from_utf8(bytes).map_err(|e| Error::custom(format!("serialized invalid UTF-8: {e}")))
 }
 
 /// Parses a value of type `T` from a JSON string.
@@ -47,107 +59,6 @@ pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
 pub fn from_slice<T: serde::Deserialize>(bytes: &[u8]) -> Result<T, Error> {
     let s = std::str::from_utf8(bytes).map_err(|e| Error::custom(format!("invalid UTF-8: {e}")))?;
     from_str(s)
-}
-
-/// Converts any serializable value into a [`Value`] tree.
-pub fn to_value<T: serde::Serialize + ?Sized>(value: &T) -> Result<Value, Error> {
-    Ok(value.to_value())
-}
-
-/// Reconstructs a deserializable value from a [`Value`] tree.
-pub fn from_value<T: serde::Deserialize>(value: Value) -> Result<T, Error> {
-    T::from_value(&value)
-}
-
-// ---------------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------------
-
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::Float(f) => {
-            if f.is_finite() {
-                // `{}` is Rust's shortest round-trippable float formatting;
-                // force a fractional part so the value re-parses as a float.
-                let s = format!("{f}");
-                out.push_str(&s);
-                if !s.contains(['.', 'e', 'E']) {
-                    out.push_str(".0");
-                }
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => write_string(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push(']');
-        }
-        Value::Object(fields) => {
-            if fields.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (key, value)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_string(out, key);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, value, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * depth {
-            out.push(' ');
-        }
-    }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 // ---------------------------------------------------------------------------
@@ -319,6 +230,12 @@ impl<'a> Parser<'a> {
                                 // Surrogate pair.
                                 if self.eat_literal("\\u") {
                                     let lo = self.hex4()?;
+                                    if !(0xDC00..0xE000).contains(&lo) {
+                                        return Err(Error::custom(format!(
+                                            "invalid low surrogate `\\u{lo:04x}` before byte {}",
+                                            self.pos
+                                        )));
+                                    }
                                     0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
                                 } else {
                                     0xFFFD
@@ -409,6 +326,52 @@ mod tests {
         let json = to_string_pretty(&v).unwrap();
         let back: Vec<(u32, String)> = from_str(&json).unwrap();
         assert_eq!(back, v);
+    }
+
+    #[test]
+    fn primitive_round_trips() {
+        fn round_trip<T: serde::Serialize + serde::Deserialize>(v: &T) -> T {
+            from_str(&to_string(v).unwrap()).unwrap()
+        }
+        assert_eq!(round_trip(&u64::MAX), u64::MAX);
+        assert_eq!(round_trip(&i64::MIN), i64::MIN);
+        assert_eq!(round_trip(&"hi".to_string()), "hi");
+        assert_eq!(round_trip(&vec![1u32, 2, 3]), vec![1, 2, 3]);
+        assert_eq!(round_trip(&None::<u32>), None);
+        assert_eq!(round_trip(&'é'), 'é');
+    }
+
+    #[test]
+    fn map_round_trip_with_non_string_keys() {
+        let m =
+            std::collections::BTreeMap::from([(3u32, "three".to_string()), (7, "seven".into())]);
+        let json = to_string(&m).unwrap();
+        assert_eq!(json, r#"[[3,"three"],[7,"seven"]]"#);
+        assert_eq!(
+            from_str::<std::collections::BTreeMap<u32, String>>(&json).unwrap(),
+            m
+        );
+    }
+
+    #[test]
+    fn write_pretty_at_matches_a_reindented_rendering() {
+        let v = vec![(1u32, vec!["a".to_string()]), (2, vec![])];
+        let mut out = b"prefix ".to_vec();
+        write_pretty_at(&mut out, &v, 2);
+        let expected = to_string_pretty(&v).unwrap().replace('\n', "\n    ");
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            format!("prefix {expected}")
+        );
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_bad_low_halves_are_rejected() {
+        assert_eq!(from_str::<String>(r#""\ud83d\ude00""#).unwrap(), "😀");
+        assert_eq!(from_str::<String>(r#""\ud800x""#).unwrap(), "\u{FFFD}x");
+        assert!(from_str::<String>(r#""\ud800\u0041""#).is_err());
+        assert!(from_str::<String>(r#""\ud800\ud800""#).is_err());
+        assert!(from_str::<String>(r#""\udbff\ue000""#).is_err());
     }
 
     #[test]
