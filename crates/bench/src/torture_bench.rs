@@ -45,7 +45,6 @@ fn torture_store_config() -> StoreConfig {
     StoreConfig {
         memtable_capacity: 8,
         compaction_min_segments: 2,
-        ..StoreConfig::default()
     }
 }
 

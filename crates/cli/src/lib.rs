@@ -574,8 +574,12 @@ impl Command {
                 no_refine: flags.contains_key("no-refine"),
                 max_dirty_fraction: get("max-dirty-frac")
                     .unwrap_or_else(|| "0.2".into())
-                    .parse()
-                    .map_err(|_| CliError::Usage("--max-dirty-frac expects a number".into()))?,
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|f| (0.0..=1.0).contains(f))
+                    .ok_or_else(|| {
+                        CliError::Usage("--max-dirty-frac expects a number in 0..=1".into())
+                    })?,
                 publish: get("publish").map(PathBuf::from),
                 out_prefix: get("out-prefix").map(PathBuf::from),
                 obs: ObsOptions::from_flags(&flags),
@@ -1322,6 +1326,25 @@ mod tests {
                 max_dirty_fraction, ..
             } => assert_eq!(max_dirty_fraction, 0.5),
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn max_dirty_frac_outside_unit_interval_is_a_usage_error() {
+        for value in ["NaN", "-3", "7", "inf", "1.5", "-0.1", "x"] {
+            let line =
+                format!("append --input d.dat --store s --k 5 --m 2 --max-dirty-frac {value}");
+            let err = Command::parse(&args(&line)).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{line}");
+            assert!(
+                err.to_string().contains("--max-dirty-frac"),
+                "{line}: {err}"
+            );
+        }
+        for value in ["0", "1", "0.25"] {
+            let line =
+                format!("append --input d.dat --store s --k 5 --m 2 --max-dirty-frac {value}");
+            assert!(Command::parse(&args(&line)).is_ok(), "{line}");
         }
     }
 

@@ -16,15 +16,17 @@
 //!   already published in record or shared chunks below the joint), which
 //!   closes the inference channel illustrated in Figure 5a.
 //!
-//! ## The indexed join loop
+//! ## One procedure, two ways to feed it
 //!
-//! The naive formulation re-derives everything per pass: each node's virtual
-//! term chunk is recomputed by walking all simple clusters below it (twice
-//! per pass for the ordering, again per join attempt), and every join
-//! attempt re-scans the raw records of both subtrees to count refining-term
-//! supports.  As joint clusters grow, those walks dominate end-to-end
-//! anonymization time.  [`refine`] therefore runs on **cached, incrementally
-//! maintained node metadata**:
+//! [`refine`] and [`refine_reference`] run the same procedure: one pass loop
+//! (order, try adjacent pairs, stop at a fixpoint or the pass cap), one
+//! term-chunk ordering, one Equation 1 + candidate-order selection, VERPART's
+//! greedy chunk builder for the shared chunks, and one placed-term removal
+//! with its Lemma 2 repair.  They differ only in where the inputs of that
+//! procedure come from.
+//!
+//! [`refine`] reads them from **cached, incrementally maintained
+//! metadata**:
 //!
 //! * every [`WorkCluster`] carries its per-term supports (compact, sorted by
 //!   term id), built once — joint supports become lookups instead of record
@@ -37,18 +39,22 @@
 //!   maintained projection-equality groups instead of cloning the full
 //!   projection set per candidate term.
 //!
-//! The pre-refactor formulation survives as [`refine_reference`]: the
-//! property-tested oracle ([`refine`] must produce byte-identical forests)
-//! and the baseline of the `refine_ubench` benchmark series.  Both use the
-//! **exact** Equation 1 predicate [`equation1_holds`] — the original `f64`
-//! division could flip a join decision near the boundary on large joint
-//! clusters.
+//! [`refine_reference`] is the pre-index formulation of exactly those
+//! inputs: it walks subtrees for every virtual term chunk and `T^r`, scans
+//! raw records for joint supports, materializes every Property 1 trial and
+//! calls [`is_k_anonymous`] on it, and builds a fresh unpooled checker per
+//! join.  It is the property-tested oracle ([`refine`] must produce
+//! byte-identical forests) and the baseline of the `refine_ubench` benchmark
+//! series.  Both use the **exact** Equation 1 predicate [`equation1_holds`] —
+//! the original `f64` division could flip a join decision near the boundary
+//! on large joint clusters.
 
 use crate::anonymity::{is_k_anonymous, CheckerScratch, IncrementalChecker};
 use crate::model::{Cluster, ClusterNode, JointCluster, RecordChunk, SharedChunk};
+use crate::verpart::{enforce_lemma2, greedy_chunks, lemma2_holds};
 use disassoc_obs::metrics::counters as obs_counters;
-use rand::seq::SliceRandom;
 use rand::Rng;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use transact::{Record, SupportMap, TermId};
 
@@ -266,7 +272,7 @@ pub fn equation1_holds(lhs_num: u64, joint_size: u64, rhs_num: u64, rhs_den: u64
 }
 
 // ---------------------------------------------------------------------------
-// The indexed fast path
+// The indexed path
 // ---------------------------------------------------------------------------
 
 /// A working-forest node plus its cached metadata, maintained incrementally
@@ -318,53 +324,13 @@ pub fn refine<R: Rng + ?Sized>(
     options: &RefineOptions,
     rng: &mut R,
 ) -> RefineOutcome {
-    if nodes.len() < 2 {
-        return RefineOutcome {
-            nodes,
-            passes_used: 0,
-            converged: true,
-        };
-    }
-    let mut states: Vec<NodeState> = nodes.into_iter().map(NodeState::new).collect();
     let mut scratch = JoinScratch::default();
-    let mut passes_used = 0usize;
-    let mut converged = false;
-    for _pass in 0..options.max_passes.max(1) {
-        passes_used += 1;
-        order_by_cached_term_chunks(&mut states);
-        let mut changed = false;
-        let mut merged: Vec<NodeState> = Vec::with_capacity(states.len());
-        let mut iter = states.into_iter().peekable();
-        while let Some(current) = iter.next() {
-            if iter.peek().is_some() {
-                // lint:allow(panic, "peek returned Some on the line above")
-                let next = iter.next().expect("peeked");
-                match try_join(current, next, k, m, options, rng, &mut scratch) {
-                    JoinOutcome::Joined(state) => {
-                        changed = true;
-                        merged.push(state);
-                    }
-                    JoinOutcome::NotJoined(a, b) => {
-                        // Pairs are strictly adjacent within a pass; `b` will
-                        // get a new neighbour after the re-ordering of the
-                        // next pass.
-                        merged.push(a);
-                        merged.push(b);
-                    }
-                }
-            } else {
-                merged.push(current);
-            }
-        }
-        states = merged;
-        // A single-node (or empty) forest is a fixpoint too: no further join
-        // is possible, so a run capped right after its final merge must not
-        // read as non-converged.
-        if !changed || states.len() < 2 {
-            converged = true;
-            break;
-        }
-    }
+    let (states, passes_used, converged) = run_passes(
+        nodes.into_iter().map(NodeState::new).collect(),
+        options.max_passes,
+        |states| order_by_term_chunks(states, |s| Cow::Borrowed(&s.vtc)),
+        |a, b| try_join(a, b, k, m, options, rng, &mut scratch),
+    );
     RefineOutcome {
         nodes: states.into_iter().map(|s| s.node).collect(),
         passes_used,
@@ -372,49 +338,9 @@ pub fn refine<R: Rng + ?Sized>(
     }
 }
 
-/// Orders clusters by the contents of their (virtual) term chunks, as
-/// described in Algorithm REFINE: terms are ranked by descending
-/// *term-chunk support* `tcs` (number of clusters whose term chunk contains
-/// the term) and each cluster is keyed by the ranks of its term-chunk terms.
-fn order_by_cached_term_chunks(states: &mut [NodeState]) {
-    // tcs per term.
-    let mut tcs: BTreeMap<TermId, usize> = BTreeMap::new();
-    for state in states.iter() {
-        for &t in &state.vtc {
-            *tcs.entry(t).or_insert(0) += 1;
-        }
-    }
-    let rank = rank_by_tcs(tcs);
-    states.sort_by_cached_key(|state| {
-        let mut ranks: Vec<usize> = state
-            .vtc
-            .iter()
-            .map(|t| rank.get(t).copied().unwrap_or(usize::MAX))
-            .collect();
-        ranks.sort_unstable();
-        ranks
-    });
-}
-
-/// Rank per term: 0 = highest tcs; ties by term id for determinism.
-fn rank_by_tcs(tcs: BTreeMap<TermId, usize>) -> BTreeMap<TermId, usize> {
-    let mut ranked: Vec<(TermId, usize)> = tcs.into_iter().collect();
-    ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    ranked
-        .into_iter()
-        .enumerate()
-        .map(|(i, (t, _))| (t, i))
-        .collect()
-}
-
-enum JoinOutcome {
-    Joined(NodeState),
-    NotJoined(NodeState, NodeState),
-}
-
-/// Attempts to join two adjacent nodes.  The join succeeds when they share
-/// refining terms, Equation 1 holds and at least one shared chunk can be
-/// built; otherwise the nodes are returned unchanged.
+/// The indexed join attempt: cached term chunks, sizes and `T^r`, joint
+/// supports read off the per-cluster support maps, pooled checker, group-
+/// based Property 1 trials.  The only path that counts `core.join_*`.
 #[allow(clippy::too_many_arguments)]
 fn try_join<R: Rng + ?Sized>(
     a: NodeState,
@@ -424,37 +350,294 @@ fn try_join<R: Rng + ?Sized>(
     options: &RefineOptions,
     rng: &mut R,
     scratch: &mut JoinScratch,
-) -> JoinOutcome {
+) -> Join<NodeState> {
     obs_counters::CORE_JOIN_ATTEMPTS.inc();
-    let common: BTreeSet<TermId> = a
-        .vtc
-        .intersection(&b.vtc)
-        .copied()
-        .filter(|t| !options.excluded_terms.contains(t))
-        .collect();
-    if common.is_empty() {
+    let reject = |a, b| {
         obs_counters::CORE_JOINS_REJECTED.inc();
-        return JoinOutcome::NotJoined(a, b);
+        Join::Apart(a, b)
+    };
+    let common = refining_terms(&a.vtc, &b.vtc, options);
+    if common.is_empty() {
+        return reject(a, b);
     }
-
-    // Joint support of every refining term: its support in the original
-    // records of the simple clusters whose *term chunk* currently holds it —
-    // read off the per-cluster support maps instead of re-scanning records.
     let joint_size = a.size + b.size;
-    let simple_of_both: Vec<&WorkCluster> = a
+    let simple: Vec<&WorkCluster> = a
         .node
         .simple_clusters()
         .into_iter()
         .chain(b.node.simple_clusters())
         .collect();
-    let mut joint_support: BTreeMap<TermId, u64> = common.iter().map(|&t| (t, 0u64)).collect();
+    let candidates =
+        match select_candidates(&simple, &common, joint_size, k, WorkCluster::support_of) {
+            Ok(candidates) => candidates,
+            Err(rejection) => {
+                if matches!(rejection, Rejection::Equation1) {
+                    obs_counters::CORE_JOINS_REJECTED_EQ1.inc();
+                }
+                return reject(a, b);
+            }
+        };
+    scratch.proj_base.clear();
+    project_shared_base_into(&simple, &candidates, &mut scratch.proj_base);
+    let mut checker =
+        IncrementalChecker::with_scratch(&scratch.proj_base, k, m, &mut scratch.checker);
+    let chunks = greedy_chunks(
+        &mut checker,
+        candidates,
+        |t| a.rst.contains(&t) || b.rst.contains(&t),
+        IncrementalChecker::can_add_k,
+        options.shuffle,
+        rng,
+    )
+    .chunks;
+    checker.recycle(&mut scratch.checker);
+    if chunks.is_empty() {
+        return reject(a, b);
+    }
+
+    let (node, placed, repaired) = join_nodes(a.node, b.node, chunks, k, m);
+    // Merge the caches: the joint's virtual term chunk is the children's
+    // union minus the placed terms, and its `T^r` gains exactly the shared
+    // domains (= the placed terms).  A Lemma 2 repair moves a record-chunk
+    // term back into a term chunk, which these deltas cannot express —
+    // recompute from the tree in that (rare) case.
+    let (vtc, rst) = if repaired {
+        (node.virtual_term_chunk(), node.record_and_shared_terms())
+    } else {
+        let mut vtc = a.vtc;
+        vtc.extend(b.vtc);
+        for t in &placed {
+            vtc.remove(t);
+        }
+        let mut rst = a.rst;
+        rst.extend(b.rst);
+        rst.extend(placed);
+        (vtc, rst)
+    };
+    obs_counters::CORE_JOINS_ACCEPTED.inc();
+    Join::Joined(NodeState {
+        node,
+        size: joint_size,
+        vtc,
+        rst,
+    })
+}
+
+// ---------------------------------------------------------------------------
+// The reference path (pre-index oracle)
+// ---------------------------------------------------------------------------
+
+/// The pre-index REFINE: the same procedure as [`refine`], fed by subtree
+/// walks for every virtual term chunk and `T^r`, raw record scans for joint
+/// supports, materialized Property 1 trials and a fresh checker per join.
+///
+/// Kept as the oracle [`refine`] is property-tested against (the two must
+/// produce identical forests, pass counts and convergence verdicts on every
+/// input when driven by equal-seeded RNGs) and as the baseline of the
+/// `refine_ubench` benchmark series.  Uses the same exact
+/// [`equation1_holds`] predicate — the `f64` comparison it replaced was a
+/// correctness bug, not a performance trade-off.
+pub fn refine_reference<R: Rng + ?Sized>(
+    nodes: Vec<WorkNode>,
+    k: usize,
+    m: usize,
+    options: &RefineOptions,
+    rng: &mut R,
+) -> RefineOutcome {
+    let (nodes, passes_used, converged) = run_passes(
+        nodes,
+        options.max_passes,
+        |nodes| order_by_term_chunks(nodes, |n| Cow::Owned(n.virtual_term_chunk())),
+        |a, b| try_join_reference(a, b, k, m, options, rng),
+    );
+    RefineOutcome {
+        nodes,
+        passes_used,
+        converged,
+    }
+}
+
+/// The reference join attempt (see [`refine_reference`]).
+fn try_join_reference<R: Rng + ?Sized>(
+    a: WorkNode,
+    b: WorkNode,
+    k: usize,
+    m: usize,
+    options: &RefineOptions,
+    rng: &mut R,
+) -> Join<WorkNode> {
+    let common = refining_terms(&a.virtual_term_chunk(), &b.virtual_term_chunk(), options);
+    if common.is_empty() {
+        return Join::Apart(a, b);
+    }
+    let joint_size = a.size() + b.size();
+    let simple: Vec<&WorkCluster> = a
+        .simple_clusters()
+        .into_iter()
+        .chain(b.simple_clusters())
+        .collect();
+    let scan_support =
+        |w: &WorkCluster, t: TermId| w.records.iter().filter(|r| r.contains(t)).count() as u64;
+    let Ok(candidates) = select_candidates(&simple, &common, joint_size, k, scan_support) else {
+        return Join::Apart(a, b);
+    };
+    let mut t_r = a.record_and_shared_terms();
+    t_r.extend(b.record_and_shared_terms());
+    let mut proj_base = Vec::new();
+    project_shared_base_into(&simple, &candidates, &mut proj_base);
+    let mut checker = IncrementalChecker::new(&proj_base, k, m);
+    // Property 1: the whole trial chunk, materialized, must be k-anonymous.
+    let materialized_trial = |checker: &mut IncrementalChecker<'_>, t: TermId| {
+        let mut trial = checker.projections();
+        for (base, proj) in proj_base.iter().zip(trial.iter_mut()) {
+            if base.contains(t) {
+                proj.insert(t);
+            }
+        }
+        is_k_anonymous(&trial, k)
+    };
+    let chunks = greedy_chunks(
+        &mut checker,
+        candidates,
+        |t| t_r.contains(&t),
+        materialized_trial,
+        options.shuffle,
+        rng,
+    )
+    .chunks;
+    if chunks.is_empty() {
+        return Join::Apart(a, b);
+    }
+    Join::Joined(join_nodes(a, b, chunks, k, m).0)
+}
+
+// ---------------------------------------------------------------------------
+// The procedure both paths share
+// ---------------------------------------------------------------------------
+
+/// The outcome of one join attempt.
+enum Join<N> {
+    /// The joint node.
+    Joined(N),
+    /// The two nodes, unchanged.
+    Apart(N, N),
+}
+
+/// REFINE's pass loop: each pass orders the forest, then tries to join
+/// strictly adjacent pairs (a node left unjoined gets a new neighbour after
+/// the next pass's re-ordering).  Returns the forest, the passes used and
+/// whether a fixpoint was reached — a pass without joins, or a forest below
+/// two nodes (so a run capped right after its final merge still reads as
+/// converged) — before `max_passes` ran out.
+fn run_passes<N>(
+    mut nodes: Vec<N>,
+    max_passes: usize,
+    mut order: impl FnMut(&mut [N]),
+    mut join: impl FnMut(N, N) -> Join<N>,
+) -> (Vec<N>, usize, bool) {
+    if nodes.len() < 2 {
+        return (nodes, 0, true);
+    }
+    for pass in 1..=max_passes.max(1) {
+        order(&mut nodes);
+        let mut changed = false;
+        let mut merged: Vec<N> = Vec::with_capacity(nodes.len());
+        let mut iter = nodes.into_iter();
+        while let Some(current) = iter.next() {
+            match iter.next() {
+                Some(next) => match join(current, next) {
+                    Join::Joined(joint) => {
+                        changed = true;
+                        merged.push(joint);
+                    }
+                    Join::Apart(a, b) => merged.extend([a, b]),
+                },
+                None => merged.push(current),
+            }
+        }
+        nodes = merged;
+        if !changed || nodes.len() < 2 {
+            return (nodes, pass, true);
+        }
+    }
+    (nodes, max_passes.max(1), false)
+}
+
+/// Orders the forest by the contents of the (virtual) term chunks, as in
+/// Algorithm REFINE: terms are ranked by descending *term-chunk support*
+/// `tcs` (the number of nodes whose term chunk holds the term; ties by term
+/// id) and each node is keyed by the sorted ranks of its term-chunk terms.
+/// `vtc` reads a node's term-chunk set, twice per node.
+fn order_by_term_chunks<N>(nodes: &mut [N], vtc: impl Fn(&N) -> Cow<'_, BTreeSet<TermId>>) {
+    let mut tcs: BTreeMap<TermId, usize> = BTreeMap::new();
+    for node in nodes.iter() {
+        for &t in vtc(node).iter() {
+            *tcs.entry(t).or_insert(0) += 1;
+        }
+    }
+    let mut ranked: Vec<(TermId, usize)> = tcs.into_iter().collect();
+    ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    let rank: BTreeMap<TermId, usize> = ranked
+        .into_iter()
+        .enumerate()
+        .map(|(i, (t, _))| (t, i))
+        .collect();
+    nodes.sort_by_cached_key(|node| {
+        let mut ranks: Vec<usize> = vtc(node)
+            .iter()
+            .map(|t| rank.get(t).copied().unwrap_or(usize::MAX))
+            .collect();
+        ranks.sort_unstable();
+        ranks
+    });
+}
+
+/// The refining terms of a join: the common term-chunk terms of both nodes,
+/// minus the excluded (sensitive) ones.
+fn refining_terms(
+    a_vtc: &BTreeSet<TermId>,
+    b_vtc: &BTreeSet<TermId>,
+    options: &RefineOptions,
+) -> BTreeSet<TermId> {
+    a_vtc
+        .intersection(b_vtc)
+        .filter(|t| !options.excluded_terms.contains(t))
+        .copied()
+        .collect()
+}
+
+/// Why [`select_candidates`] turned a join down.
+enum Rejection {
+    /// Equation 1 fails (or no simple cluster holds a refining term).
+    Equation1,
+    /// No refining term reaches joint support `k`.
+    NoCandidates,
+}
+
+/// Equation 1 and the candidate order of a join over the simple clusters
+/// `simple` of both nodes.
+///
+/// The joint support of a refining term is its support in the original
+/// records of the simple clusters whose *term chunk* currently holds it;
+/// `support_in(w, t)` gives the support of `t` among `w`'s records.  The
+/// candidates are the refining terms with joint support ≥ k (below that no
+/// anonymous shared chunk is possible), in descending joint support, ties by
+/// term id.
+fn select_candidates(
+    simple: &[&WorkCluster],
+    common: &BTreeSet<TermId>,
+    joint_size: usize,
+    k: usize,
+    support_in: impl Fn(&WorkCluster, TermId) -> u64,
+) -> Result<Vec<TermId>, Rejection> {
+    let mut joint_support: BTreeMap<TermId, u64> = common.iter().map(|&t| (t, 0)).collect();
     let mut rhs_num = 0u64;
     let mut rhs_den = 0u64;
-    for w in &simple_of_both {
+    for w in simple {
         let mut held = 0u64;
         for (&t, support) in joint_support.iter_mut() {
             if w.cluster.term_chunk.contains(t) {
-                *support += w.support_of(t);
+                *support += support_in(w, t);
                 held += 1;
             }
         }
@@ -463,22 +646,10 @@ fn try_join<R: Rng + ?Sized>(
             rhs_den += w.records.len() as u64;
         }
     }
-
-    // Equation 1, in exact arithmetic.
-    if rhs_den == 0 {
-        obs_counters::CORE_JOINS_REJECTED.inc();
-        obs_counters::CORE_JOINS_REJECTED_EQ1.inc();
-        return JoinOutcome::NotJoined(a, b);
-    }
     let lhs_num: u64 = joint_support.values().sum();
-    if !equation1_holds(lhs_num, joint_size as u64, rhs_num, rhs_den) {
-        obs_counters::CORE_JOINS_REJECTED.inc();
-        obs_counters::CORE_JOINS_REJECTED_EQ1.inc();
-        return JoinOutcome::NotJoined(a, b);
+    if rhs_den == 0 || !equation1_holds(lhs_num, joint_size as u64, rhs_num, rhs_den) {
+        return Err(Rejection::Equation1);
     }
-
-    // Candidate refining terms in descending joint support (ties by id);
-    // terms below k can never form an anonymous shared chunk.
     let mut candidates: Vec<TermId> = common
         .iter()
         .copied()
@@ -490,157 +661,9 @@ fn try_join<R: Rng + ?Sized>(
             .then_with(|| x.cmp(y))
     });
     if candidates.is_empty() {
-        obs_counters::CORE_JOINS_REJECTED.inc();
-        return JoinOutcome::NotJoined(a, b);
+        return Err(Rejection::NoCandidates);
     }
-
-    // Greedy construction of shared chunks (VERPART over the refining
-    // terms).  Each record is projected once onto the candidate refining
-    // terms its cluster is eligible for, and the incremental dense checker
-    // runs over those base projections — a trial is one `can_add` (only
-    // combinations involving the new term are counted).  Property 1 trials
-    // (`T^r` hit, checked against both cached sets) run on the checker's
-    // incrementally maintained projection-equality groups (`can_add_k`)
-    // instead of cloning the projection set, and a term with no base support
-    // at all skips the trial outright once the chunk is already in
-    // k-anonymous mode (its projections cannot change).  The checker's
-    // allocations are pooled across join attempts.
-    scratch.proj_base.clear();
-    project_shared_base_into(&simple_of_both, &candidates, &mut scratch.proj_base);
-    let mut checker =
-        IncrementalChecker::with_scratch(&scratch.proj_base, k, m, &mut scratch.checker);
-    let mut shared: Vec<SharedChunk> = Vec::new();
-    let mut placed: BTreeSet<TermId> = BTreeSet::new();
-    let mut remaining = candidates;
-    while !remaining.is_empty() {
-        checker.reset();
-        let mut current: Vec<TermId> = Vec::new();
-        let mut current_needs_k = false;
-        let mut rejected: Vec<TermId> = Vec::new();
-        for &t in &remaining {
-            let needs_k = current_needs_k || a.rst.contains(&t) || b.rst.contains(&t);
-            let ok = if needs_k {
-                if current_needs_k && checker.support_of(t) == 0 {
-                    // No base projection holds `t`: the trial projections are
-                    // the current ones, already k-anonymous by construction.
-                    // (Refine's own candidates always have joint support ≥ k,
-                    // so this guards callers with unfiltered candidate lists;
-                    // `can_add_k` would answer the same, in O(#groups).)
-                    true
-                } else {
-                    // Property 1: the whole trial chunk must be k-anonymous.
-                    checker.can_add_k(t)
-                }
-            } else {
-                // k-anonymity of every accepted prefix implies
-                // k^m-anonymity, so the checker's incremental argument
-                // holds even across mixed-mode trials.
-                checker.can_add(t)
-            };
-            if ok {
-                checker.add(t);
-                current.push(t);
-                current_needs_k = needs_k;
-            } else {
-                rejected.push(t);
-            }
-        }
-        if current.is_empty() {
-            break;
-        }
-        current.sort_unstable();
-        let mut subrecords: Vec<Record> = checker
-            .projections()
-            .into_iter()
-            .filter(|r| !r.is_empty())
-            .collect();
-        if options.shuffle {
-            subrecords.shuffle(rng);
-        }
-        placed.extend(current.iter().copied());
-        shared.push(SharedChunk {
-            chunk: RecordChunk {
-                domain: current,
-                subrecords,
-            },
-            requires_k_anonymity: current_needs_k,
-        });
-        remaining = rejected;
-    }
-    checker.recycle(&mut scratch.checker);
-    drop(simple_of_both);
-    if shared.is_empty() {
-        obs_counters::CORE_JOINS_REJECTED.inc();
-        return JoinOutcome::NotJoined(a, b);
-    }
-
-    // Remove the placed terms from the term chunks of the simple clusters.
-    // Removing terms can empty a term chunk, which re-exposes the Lemma 2
-    // side condition (the cluster must then hold enough subrecords); apply
-    // the same repair VERPART uses — demote the least frequent record-chunk
-    // term back into the term chunk.
-    let NodeState {
-        node: a_node,
-        vtc: a_vtc,
-        rst: a_rst,
-        ..
-    } = a;
-    let NodeState {
-        node: b_node,
-        vtc: b_vtc,
-        rst: b_rst,
-        ..
-    } = b;
-    let mut joint = WorkNode::Joint {
-        children: vec![a_node, b_node],
-        shared,
-    };
-    let mut repaired = false;
-    if let WorkNode::Joint { children, .. } = &mut joint {
-        let mut simple: Vec<&mut WorkCluster> = Vec::new();
-        for c in children.iter_mut() {
-            c.collect_simple_mut(&mut simple);
-        }
-        for w in simple {
-            let mut touched = false;
-            for &t in &placed {
-                touched |= w.cluster.term_chunk.remove(t);
-            }
-            if touched && !crate::verpart::lemma2_holds(&w.cluster, k, m) {
-                // Rare repair path: the demotion wants a dense support map,
-                // recount it (the compact cache stays valid — records never
-                // change).
-                let supports = SupportMap::from_records(w.records.iter());
-                crate::verpart::enforce_lemma2(&mut w.cluster, &supports, k, m);
-                repaired = true;
-            }
-        }
-    }
-    // Merge the caches: the joint's virtual term chunk is the children's
-    // union minus the placed terms, and its `T^r` gains exactly the shared
-    // domains (= the placed terms).  A Lemma 2 repair moves a record-chunk
-    // term back into a term chunk, which these deltas cannot express —
-    // recompute from the tree in that (rare) case.
-    let (vtc, rst) = if repaired {
-        (joint.virtual_term_chunk(), joint.record_and_shared_terms())
-    } else {
-        let mut vtc = a_vtc;
-        vtc.extend(b_vtc);
-        for t in &placed {
-            vtc.remove(t);
-        }
-        let mut rst = a_rst;
-        rst.extend(b_rst);
-        rst.extend(placed.iter().copied());
-        (vtc, rst)
-    };
-    obs_counters::CORE_JOINS_ACCEPTED.inc();
-    JoinOutcome::Joined(NodeState {
-        node: joint,
-        size: joint_size,
-        vtc,
-        rst,
-    })
+    Ok(candidates)
 }
 
 /// Projects the original records of the simple clusters onto the candidate
@@ -673,265 +696,49 @@ fn project_shared_base_into(simple: &[&WorkCluster], candidates: &[TermId], out:
     }
 }
 
-// ---------------------------------------------------------------------------
-// The reference path (pre-index oracle)
-// ---------------------------------------------------------------------------
-
-/// The pre-refactor REFINE: re-derives every node's virtual term chunk and
-/// `T^r` by walking its subtree, re-scans raw records for joint supports,
-/// and materializes every Property 1 trial.
-///
-/// Kept as the oracle [`refine`] is property-tested against (the two must
-/// produce identical forests, pass counts and convergence verdicts on every
-/// input when driven by equal-seeded RNGs) and as the baseline of the
-/// `refine_ubench` benchmark series.  Uses the same exact
-/// [`equation1_holds`] predicate — the `f64` comparison it replaced was a
-/// correctness bug, not a performance trade-off.
-pub fn refine_reference<R: Rng + ?Sized>(
-    mut nodes: Vec<WorkNode>,
-    k: usize,
-    m: usize,
-    options: &RefineOptions,
-    rng: &mut R,
-) -> RefineOutcome {
-    if nodes.len() < 2 {
-        return RefineOutcome {
-            nodes,
-            passes_used: 0,
-            converged: true,
-        };
-    }
-    let mut passes_used = 0usize;
-    let mut converged = false;
-    for _pass in 0..options.max_passes.max(1) {
-        passes_used += 1;
-        order_nodes_by_term_chunks(&mut nodes);
-        let mut changed = false;
-        let mut merged: Vec<WorkNode> = Vec::with_capacity(nodes.len());
-        let mut iter = nodes.into_iter().peekable();
-        while let Some(current) = iter.next() {
-            if iter.peek().is_some() {
-                // lint:allow(panic, "peek returned Some on the line above")
-                let next = iter.next().expect("peeked");
-                match try_join_reference(current, next, k, m, options, rng) {
-                    ReferenceJoinOutcome::Joined(node) => {
-                        changed = true;
-                        merged.push(node);
-                    }
-                    ReferenceJoinOutcome::NotJoined(a, b) => {
-                        merged.push(a);
-                        merged.push(b);
-                    }
-                }
-            } else {
-                merged.push(current);
-            }
-        }
-        nodes = merged;
-        if !changed || nodes.len() < 2 {
-            converged = true;
-            break;
-        }
-    }
-    RefineOutcome {
-        nodes,
-        passes_used,
-        converged,
-    }
-}
-
-/// The reference ordering: recomputes every virtual term chunk by walking
-/// the subtree (twice per pass — once for `tcs`, once for the sort key).
-fn order_nodes_by_term_chunks(nodes: &mut [WorkNode]) {
-    let mut tcs: BTreeMap<TermId, usize> = BTreeMap::new();
-    for node in nodes.iter() {
-        for t in node.virtual_term_chunk() {
-            *tcs.entry(t).or_insert(0) += 1;
-        }
-    }
-    let rank = rank_by_tcs(tcs);
-    let key = |node: &WorkNode| -> Vec<usize> {
-        let mut ranks: Vec<usize> = node
-            .virtual_term_chunk()
-            .into_iter()
-            .map(|t| rank.get(&t).copied().unwrap_or(usize::MAX))
-            .collect();
-        ranks.sort_unstable();
-        ranks
-    };
-    nodes.sort_by_cached_key(key);
-}
-
-enum ReferenceJoinOutcome {
-    Joined(WorkNode),
-    NotJoined(WorkNode, WorkNode),
-}
-
-/// The reference join attempt: per-call recomputation of term chunks,
-/// supports and `T^r`; materialized Property 1 trials.
-fn try_join_reference<R: Rng + ?Sized>(
+/// Joins `a` and `b` under a node publishing `chunks` as its shared chunks,
+/// then removes the placed terms from the term chunks below it.  Removing
+/// terms can empty a term chunk, which re-exposes the Lemma 2 side condition
+/// (the cluster must then hold enough subrecords); the repair is VERPART's —
+/// demote the least frequent record-chunk term back into the term chunk —
+/// on a freshly counted support map (records never change, and the repair is
+/// rare).  Returns the joint, the placed terms and whether a repair fired.
+fn join_nodes(
     a: WorkNode,
     b: WorkNode,
+    chunks: Vec<(RecordChunk, bool)>,
     k: usize,
     m: usize,
-    options: &RefineOptions,
-    rng: &mut R,
-) -> ReferenceJoinOutcome {
-    let common: BTreeSet<TermId> = a
-        .virtual_term_chunk()
-        .intersection(&b.virtual_term_chunk())
-        .copied()
-        .filter(|t| !options.excluded_terms.contains(t))
-        .collect();
-    if common.is_empty() {
-        return ReferenceJoinOutcome::NotJoined(a, b);
-    }
-
-    // Joint support of every refining term: its support in the original
-    // records of the simple clusters whose *term chunk* currently holds it.
-    let joint_size = a.size() + b.size();
-    let simple_of_both: Vec<&WorkCluster> = a
-        .simple_clusters()
-        .into_iter()
-        .chain(b.simple_clusters())
-        .collect();
-    let mut joint_support: BTreeMap<TermId, u64> = BTreeMap::new();
-    for &t in &common {
-        let mut s = 0u64;
-        for w in &simple_of_both {
-            if w.cluster.term_chunk.contains(t) {
-                s += w.records.iter().filter(|r| r.contains(t)).count() as u64;
-            }
-        }
-        joint_support.insert(t, s);
-    }
-
-    // Equation 1 (exact — see `equation1_holds`).
-    let lhs_num: u64 = joint_support.values().sum();
-    let mut rhs_num = 0u64;
-    let mut rhs_den = 0u64;
-    for w in &simple_of_both {
-        let u = common
-            .iter()
-            .filter(|t| w.cluster.term_chunk.contains(**t))
-            .count() as u64;
-        if u > 0 {
-            rhs_num += u;
-            rhs_den += w.records.len() as u64;
-        }
-    }
-    if rhs_den == 0 {
-        return ReferenceJoinOutcome::NotJoined(a, b);
-    }
-    if !equation1_holds(lhs_num, joint_size as u64, rhs_num, rhs_den) {
-        return ReferenceJoinOutcome::NotJoined(a, b);
-    }
-
-    // Property 1: shared chunks whose domain intersects T^r must be
-    // k-anonymous.
-    let mut t_r = a.record_and_shared_terms();
-    t_r.extend(b.record_and_shared_terms());
-
-    // Candidate refining terms in descending joint support (ties by id);
-    // terms below k can never form an anonymous shared chunk.
-    let mut candidates: Vec<TermId> = common
+) -> (WorkNode, BTreeSet<TermId>, bool) {
+    let placed: BTreeSet<TermId> = chunks
         .iter()
-        .copied()
-        .filter(|t| joint_support[t] as usize >= k)
+        .flat_map(|(chunk, _)| chunk.domain.iter().copied())
         .collect();
-    candidates.sort_by(|x, y| {
-        joint_support[y]
-            .cmp(&joint_support[x])
-            .then_with(|| x.cmp(y))
-    });
-    if candidates.is_empty() {
-        return ReferenceJoinOutcome::NotJoined(a, b);
+    let mut children = vec![a, b];
+    let mut simple: Vec<&mut WorkCluster> = Vec::new();
+    for c in children.iter_mut() {
+        c.collect_simple_mut(&mut simple);
     }
-
-    // Greedy construction of shared chunks, with every Property 1 trial
-    // materializing the full projection set.
-    let mut proj_base = Vec::new();
-    project_shared_base_into(&simple_of_both, &candidates, &mut proj_base);
-    let mut checker = IncrementalChecker::new(&proj_base, k, m);
-    let mut shared: Vec<SharedChunk> = Vec::new();
-    let mut placed: BTreeSet<TermId> = BTreeSet::new();
-    let mut remaining = candidates;
-    while !remaining.is_empty() {
-        checker.reset();
-        let mut current: Vec<TermId> = Vec::new();
-        let mut current_needs_k = false;
-        let mut rejected: Vec<TermId> = Vec::new();
-        for &t in &remaining {
-            let needs_k = current_needs_k || t_r.contains(&t);
-            let ok = if needs_k {
-                // Property 1: the whole trial chunk must be k-anonymous.
-                let mut trial_projections = checker.projections();
-                for (base, proj) in proj_base.iter().zip(trial_projections.iter_mut()) {
-                    if base.contains(t) {
-                        proj.insert(t);
-                    }
-                }
-                is_k_anonymous(&trial_projections, k)
-            } else {
-                checker.can_add(t)
-            };
-            if ok {
-                checker.add(t);
-                current.push(t);
-                current_needs_k = needs_k;
-            } else {
-                rejected.push(t);
-            }
+    let mut repaired = false;
+    for w in simple {
+        let mut touched = false;
+        for &t in &placed {
+            touched |= w.cluster.term_chunk.remove(t);
         }
-        if current.is_empty() {
-            break;
-        }
-        current.sort_unstable();
-        let mut subrecords: Vec<Record> = checker
-            .projections()
-            .into_iter()
-            .filter(|r| !r.is_empty())
-            .collect();
-        if options.shuffle {
-            subrecords.shuffle(rng);
-        }
-        placed.extend(current.iter().copied());
-        shared.push(SharedChunk {
-            chunk: RecordChunk {
-                domain: current,
-                subrecords,
-            },
-            requires_k_anonymity: current_needs_k,
-        });
-        remaining = rejected;
-    }
-    if shared.is_empty() {
-        return ReferenceJoinOutcome::NotJoined(a, b);
-    }
-
-    // Remove the placed terms from the term chunks of the simple clusters,
-    // repairing Lemma 2 with a freshly counted support map.
-    let mut joint = WorkNode::Joint {
-        children: vec![a, b],
-        shared,
-    };
-    if let WorkNode::Joint { children, .. } = &mut joint {
-        let mut simple: Vec<&mut WorkCluster> = Vec::new();
-        for c in children.iter_mut() {
-            c.collect_simple_mut(&mut simple);
-        }
-        for w in simple {
-            let mut touched = false;
-            for &t in &placed {
-                touched |= w.cluster.term_chunk.remove(t);
-            }
-            if touched && !crate::verpart::lemma2_holds(&w.cluster, k, m) {
-                let supports = SupportMap::from_records(w.records.iter());
-                crate::verpart::enforce_lemma2(&mut w.cluster, &supports, k, m);
-            }
+        if touched && !lemma2_holds(&w.cluster, k, m) {
+            let supports = SupportMap::from_records(w.records.iter());
+            enforce_lemma2(&mut w.cluster, &supports, k, m);
+            repaired = true;
         }
     }
-    ReferenceJoinOutcome::Joined(joint)
+    let shared = chunks
+        .into_iter()
+        .map(|(chunk, requires_k_anonymity)| SharedChunk {
+            chunk,
+            requires_k_anonymity,
+        })
+        .collect();
+    (WorkNode::Joint { children, shared }, placed, repaired)
 }
 
 #[cfg(test)]

@@ -9,7 +9,9 @@
 //! 2. the remaining terms are considered in descending support order and
 //!    greedily added to the current chunk domain as long as the chunk stays
 //!    k^m-anonymous (only combinations involving the new term need checking —
-//!    see [`crate::anonymity::IncrementalChecker`]);
+//!    see [`crate::anonymity::IncrementalChecker`]).  REFINE builds its
+//!    shared chunks with this same greedy procedure (`greedy_chunks`, one
+//!    implementation for both), adding Property 1's k-anonymity trial;
 //! 3. after all chunks are built, the Lemma 2 side condition is enforced: a
 //!    cluster whose term chunk is empty must contain at least
 //!    `|P| + k·(min(m, v) − 1)` subrecords, otherwise the least frequent
@@ -98,45 +100,21 @@ pub fn vertical_partition_with_supports<R: Rng + ?Sized>(
         }
     }
 
-    // Greedy chunk construction.  The incremental checker already maintains
-    // the projection of every record onto the accepted domain, so each
-    // finished chunk is materialized straight from the checker instead of
-    // re-projecting every record against the chunk domain.
-    let mut chunks: Vec<(Vec<TermId>, Vec<Record>)> = Vec::new();
     let mut checker = IncrementalChecker::new(records, k, m);
-    while !remaining.is_empty() {
-        checker.reset();
-        let mut accepted: Vec<TermId> = Vec::new();
-        let mut rejected: Vec<TermId> = Vec::new();
-        for &t in &remaining {
-            if checker.can_add(t) {
-                checker.add(t);
-                accepted.push(t);
-            } else {
-                rejected.push(t);
-            }
-        }
-        if accepted.is_empty() {
-            // Cannot happen for terms with support ≥ k (a singleton chunk is
-            // always k^m-anonymous), but guard against an infinite loop.
-            term_chunk_terms.extend(rejected);
-            break;
-        }
-        accepted.sort_unstable();
-        chunks.push((accepted, checker.projections()));
-        remaining = rejected;
-    }
-
-    // Materialize the record chunks.
-    let mut record_chunks: Vec<RecordChunk> = Vec::new();
-    for (domain, projections) in chunks {
-        let mut subrecords: Vec<Record> =
-            projections.into_iter().filter(|r| !r.is_empty()).collect();
-        if options.shuffle {
-            subrecords.shuffle(rng);
-        }
-        record_chunks.push(RecordChunk { domain, subrecords });
-    }
+    // No record-chunk term is in `T^r`, so the k-anonymity trial never runs.
+    let built = greedy_chunks(
+        &mut checker,
+        remaining,
+        |_| false,
+        IncrementalChecker::can_add_k,
+        options.shuffle,
+        rng,
+    );
+    // Every remaining term has support ≥ k, so each round accepts at least
+    // one (a singleton chunk is k^m-anonymous); anything left unplaced would
+    // stay in the term chunk.
+    term_chunk_terms.extend(built.unplaced);
+    let record_chunks = built.chunks.into_iter().map(|(chunk, _)| chunk).collect();
 
     let mut cluster = Cluster {
         size,
@@ -145,6 +123,82 @@ pub fn vertical_partition_with_supports<R: Rng + ?Sized>(
     };
     enforce_lemma2(&mut cluster, supports, k, m);
     cluster
+}
+
+/// The chunks of one greedy construction, in build order.
+pub(crate) struct GreedyChunks {
+    /// Each chunk with whether it had to be plain k-anonymous (Property 1).
+    pub(crate) chunks: Vec<(RecordChunk, bool)>,
+    /// The terms left when a round accepted none of them (empty otherwise).
+    pub(crate) unplaced: Vec<TermId>,
+}
+
+/// The greedy chunk construction of VERPART, which REFINE also uses for its
+/// shared chunks.
+///
+/// Each round resets `checker` and offers it every term of `remaining` in
+/// order.  A term joins the chunk while the chunk stays k^m-anonymous
+/// ([`IncrementalChecker::can_add`]).  Once the chunk holds a term of `T^r`
+/// (`in_t_r`), Property 1 demands plain k-anonymity instead, decided by
+/// `k_trial`; k-anonymity of every accepted prefix implies k^m-anonymity, so
+/// the checker's incremental argument holds across the switch.  Rejected
+/// terms carry over to the next round.  A finished chunk gets its domain
+/// sorted and its non-empty projections, shuffled when `shuffle` is set (the
+/// only use of `rng`, one shuffle per chunk in build order).  A round that
+/// accepts nothing ends the construction.
+pub(crate) fn greedy_chunks<'c, R: Rng + ?Sized>(
+    checker: &mut IncrementalChecker<'c>,
+    mut remaining: Vec<TermId>,
+    in_t_r: impl Fn(TermId) -> bool,
+    mut k_trial: impl FnMut(&mut IncrementalChecker<'c>, TermId) -> bool,
+    shuffle: bool,
+    rng: &mut R,
+) -> GreedyChunks {
+    let mut chunks = Vec::new();
+    while !remaining.is_empty() {
+        checker.reset();
+        let mut domain: Vec<TermId> = Vec::new();
+        let mut needs_k = false;
+        let mut rejected: Vec<TermId> = Vec::new();
+        for &t in &remaining {
+            let trial_needs_k = needs_k || in_t_r(t);
+            let ok = if trial_needs_k {
+                k_trial(checker, t)
+            } else {
+                checker.can_add(t)
+            };
+            if ok {
+                checker.add(t);
+                domain.push(t);
+                needs_k = trial_needs_k;
+            } else {
+                rejected.push(t);
+            }
+        }
+        if domain.is_empty() {
+            return GreedyChunks {
+                chunks,
+                unplaced: rejected,
+            };
+        }
+        domain.sort_unstable();
+        // The checker maintains every record's projection onto the accepted
+        // domain, so the chunk is materialized without re-projecting.
+        let mut subrecords: Vec<Record> = checker
+            .projections()
+            .into_iter()
+            .filter(|r| !r.is_empty())
+            .collect();
+        if shuffle {
+            subrecords.shuffle(rng);
+        }
+        chunks.push((RecordChunk { domain, subrecords }, needs_k));
+        remaining = rejected;
+    }
+    GreedyChunks {
+        chunks,
+        unplaced: Vec::new(),
+    }
 }
 
 /// Enforces the Lemma 2 side condition (see module docs).  Returns whether a

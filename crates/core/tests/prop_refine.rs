@@ -1,15 +1,21 @@
-//! Property-based tests pinning the indexed REFINE to the pre-refactor
+//! Property-based tests pinning the indexed REFINE to the pre-index
 //! reference path.
 //!
-//! [`refine`] runs on cached node metadata (per-cluster support indexes,
-//! incrementally merged virtual term chunks and `T^r` sets, pooled checker
-//! scratch, group-based Property 1 trials); [`refine_reference`] re-derives
-//! everything per pass.  Driven by equal-seeded RNGs they must produce
-//! **identical** forests — same join decisions (tree shape), same
-//! shared-chunk domains, same subrecord multisets (asserted even more
-//! strongly: same subrecord *sequences*, since the shuffle streams align) —
-//! and identical convergence telemetry, over random datasets across
-//! `k ∈ 2..6` and `m ∈ 1..=3`.
+//! Both paths share one procedure: the pass loop, the term-chunk ordering,
+//! Equation 1 with the candidate order, VERPART's greedy chunk builder and
+//! the placed-term removal with its Lemma 2 repair.  They differ only in
+//! what the index replaced: [`refine`] reads cached node metadata
+//! (per-cluster support indexes, incrementally merged virtual term chunks
+//! and `T^r` sets, pooled checker scratch, group-based Property 1 trials),
+//! while [`refine_reference`] walks subtrees for virtual term chunks and
+//! `T^r`, scans raw records for joint supports, materializes every
+//! Property 1 trial and builds a fresh checker per join.  Driven by
+//! equal-seeded RNGs they must produce **identical** forests — same join
+//! decisions (tree shape), same shared-chunk domains, same subrecord
+//! multisets (asserted even more strongly: same subrecord *sequences*, since
+//! the shuffle streams align) — and identical convergence telemetry, over
+//! random datasets across `k ∈ 2..6` and `m ∈ 1..=5` (m = 5 runs the
+//! checker's fallback engine, m ≤ 4 the packed one).
 
 use disassociation::horpart::{horizontal_partition, merge_small_clusters};
 use disassociation::refine::{refine, refine_reference, RefineOptions, WorkCluster, WorkNode};
@@ -107,7 +113,7 @@ proptest! {
     fn indexed_refine_matches_reference(
         records in arb_dataset(),
         k in 2usize..6,
-        m in 1usize..4,
+        m in 1usize..6,
         seed in 0u64..1u64 << 48,
     ) {
         assert_refines_agree(&records, k, m, &RefineOptions::default(), seed);
@@ -119,7 +125,7 @@ proptest! {
     fn indexed_refine_matches_reference_with_capped_passes(
         records in arb_dataset(),
         k in 2usize..6,
-        m in 1usize..4,
+        m in 1usize..6,
         max_passes in 1usize..4,
         shuffle in any::<bool>(),
         seed in 0u64..1u64 << 48,

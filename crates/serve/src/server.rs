@@ -15,7 +15,7 @@
 //! flushed, and [`Server::run`] returns `Ok(())` — after which the data
 //! directory reopens with zero recovery surprises.
 
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -208,14 +208,38 @@ impl Server {
     }
 }
 
+/// How long each read of a rejected connection's request may block.
+const REJECT_DRAIN_TIMEOUT: Duration = Duration::from_millis(25);
+
+/// Reads spent draining a rejected connection's request (8 KiB each).
+const REJECT_DRAIN_READS: usize = 8;
+
 /// Best-effort 503 for connections over the cap, on the accept thread (the
 /// whole point is not to spawn anything for them).
+///
+/// After the response the write side is shut and the request is drained
+/// (bounded by [`REJECT_DRAIN_READS`] reads of at most
+/// [`REJECT_DRAIN_TIMEOUT`] each): closing a socket with unread request
+/// bytes makes the kernel send a reset, which can destroy the 503 before
+/// the client reads it.
 fn reject_overloaded(stream: TcpStream, config: &ServeConfig) {
     let _ = stream.set_write_timeout(Some(config.write_timeout));
     let mut writer = BufWriter::new(stream);
     let _ = Response::error(503, "connection limit reached")
         .with_header("Retry-After", "1")
         .write_to(&mut writer);
+    let Ok(mut stream) = writer.into_inner() else {
+        return;
+    };
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(REJECT_DRAIN_TIMEOUT));
+    let mut sink = [0u8; 8 << 10];
+    for _ in 0..REJECT_DRAIN_READS {
+        match stream.read(&mut sink) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+    }
 }
 
 fn handle_connection(state: &Arc<State>, stream: TcpStream) {

@@ -12,9 +12,12 @@
 //! with O(batch) memory.
 
 use crate::manifest::{Manifest, SegmentEntry};
-use crate::segment::{Segment, SegmentWriter};
-use crate::{Result, StoreConfig};
+use crate::segment::{Segment, SegmentWriter, DEFAULT_INDEX_EVERY};
+use crate::Result;
 use std::path::Path;
+
+/// Segments at or above this size are left alone by compaction.
+pub(crate) const MAX_SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
 
 /// What a compaction pass did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -44,8 +47,9 @@ impl CompactionStats {
 }
 
 /// Runs one size-tiered compaction pass over the manifest's segments,
-/// merging every maximal run of at least `config.compaction_min_segments`
-/// adjacent segments that are each smaller than `config.max_segment_bytes`.
+/// merging every maximal run of at least `min_segments` (values below 2 are
+/// treated as 2) adjacent segments that are each smaller than
+/// `max_segment_bytes` ([`MAX_SEGMENT_BYTES`] outside tests).
 ///
 /// The input manifest is left untouched; a successor manifest is returned
 /// for the caller to commit, along with the replaced files to delete after
@@ -56,13 +60,14 @@ impl CompactionStats {
 pub(crate) fn compact_pass(
     dir: &Path,
     manifest: &Manifest,
-    config: &StoreConfig,
+    min_segments: usize,
+    max_segment_bytes: u64,
 ) -> Result<(CompactionStats, Vec<String>, Manifest)> {
     let mut stats = CompactionStats {
         segments_before: manifest.segments.len(),
         ..CompactionStats::default()
     };
-    let min_run = config.compaction_min_segments.max(2);
+    let min_run = min_segments.max(2);
     let mut replaced: Vec<String> = Vec::new();
     let mut output: Vec<SegmentEntry> = Vec::new();
     let mut run: Vec<SegmentEntry> = Vec::new();
@@ -81,10 +86,10 @@ pub(crate) fn compact_pass(
         *manifest_next_id += 1;
         let file = Manifest::segment_file_name(id);
         let path = dir.join(&file);
-        let mut writer = SegmentWriter::create(&path, config.index_every)?;
+        let mut writer = SegmentWriter::create(&path, DEFAULT_INDEX_EVERY)?;
         let mut records = 0u64;
         for entry in run.iter() {
-            let seg = Segment::open_with(dir.join(&entry.file), true)?;
+            let seg = Segment::open(dir.join(&entry.file))?;
             for r in seg.records()? {
                 writer.add(&r?)?;
             }
@@ -109,7 +114,7 @@ pub(crate) fn compact_pass(
 
     let mut next_id = manifest.next_segment_id;
     for entry in manifest.segments.iter().cloned() {
-        if entry.bytes < config.max_segment_bytes {
+        if entry.bytes < max_segment_bytes {
             run.push(entry);
         } else {
             flush_run(

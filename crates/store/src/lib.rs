@@ -61,7 +61,7 @@ pub use source::StoreSource;
 
 use disassoc_obs::metrics::counters as obs_counters;
 use manifest::MANIFEST_FILE;
-use segment::{read_footer, SegmentWriter};
+use segment::{read_footer, SegmentWriter, DEFAULT_INDEX_EVERY};
 use std::fs::File;
 use std::path::{Path, PathBuf};
 use transact::Record;
@@ -150,28 +150,16 @@ pub(crate) fn sync_dir(dir: &Path) -> std::io::Result<()> {
 pub struct StoreConfig {
     /// Records held in the memtable before it spills to a segment.
     pub memtable_capacity: usize,
-    /// Sparse-index granularity inside segments (0 = default, one entry per
-    /// 1024 records).
-    pub index_every: usize,
-    /// Verify segment checksums when scanning (`true` costs one extra
-    /// streaming pass per segment; `Store::open` never skips validation of
-    /// footers and the WAL).
-    pub verify_on_scan: bool,
     /// Minimum run of adjacent small segments worth merging in one
     /// compaction (values below 2 are treated as 2).
     pub compaction_min_segments: usize,
-    /// Segments at or above this size are left alone by compaction.
-    pub max_segment_bytes: u64,
 }
 
 impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
             memtable_capacity: 8192,
-            index_every: 0,
-            verify_on_scan: true,
             compaction_min_segments: 4,
-            max_segment_bytes: 8 * 1024 * 1024,
         }
     }
 }
@@ -337,7 +325,7 @@ impl Store {
         let id = self.manifest.next_segment_id;
         let file = Manifest::segment_file_name(id);
         let path = self.dir.join(&file);
-        let mut writer = SegmentWriter::create(&path, self.config.index_every)?;
+        let mut writer = SegmentWriter::create(&path, DEFAULT_INDEX_EVERY)?;
         for r in &self.memtable {
             writer.add(r)?;
         }
@@ -378,8 +366,12 @@ impl Store {
     /// of adjacent small segments, commits the manifest, deletes the
     /// replaced files.
     pub fn compact(&mut self) -> Result<CompactionStats> {
-        let (stats, replaced, successor) =
-            compact::compact_pass(&self.dir, &self.manifest, &self.config)?;
+        let (stats, replaced, successor) = compact::compact_pass(
+            &self.dir,
+            &self.manifest,
+            self.config.compaction_min_segments,
+            compact::MAX_SEGMENT_BYTES,
+        )?;
         obs_counters::STORE_COMPACTION_RUNS.inc();
         obs_counters::STORE_COMPACTION_MERGES.add(stats.merges as u64);
         obs_counters::STORE_COMPACTION_BYTES_READ.add(stats.bytes_read);
@@ -588,20 +580,18 @@ mod tests {
     #[test]
     fn compaction_leaves_large_segments_alone() {
         let dir = tmpdir("tiered");
-        let config = StoreConfig {
-            memtable_capacity: 2,
-            max_segment_bytes: 1, // everything counts as "large"
-            ..StoreConfig::default()
-        };
-        let mut store = Store::open(&dir, config).unwrap();
+        let mut store = Store::open(&dir, small_config(2)).unwrap();
         for i in 0..8u32 {
             store.append(rec(&[i])).unwrap();
         }
         store.flush().unwrap();
         let before = store.manifest.segments.len();
-        let stats = store.compact().unwrap();
+        // A 1-byte threshold makes every segment count as "large".
+        let (stats, replaced, next) =
+            compact::compact_pass(&store.dir, &store.manifest, 2, 1).unwrap();
         assert_eq!(stats.merges, 0);
-        assert_eq!(store.manifest.segments.len(), before);
+        assert!(replaced.is_empty());
+        assert_eq!(next.segments.len(), before);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -46,7 +46,7 @@ impl<'a> RecordBatchIter<'a> {
                 Some(entry) => {
                     self.next_segment += 1;
                     let path = self.store.dir.join(&entry.file);
-                    let seg = match Segment::open_with(&path, self.store.config.verify_on_scan) {
+                    let seg = match Segment::open(&path) {
                         Ok(s) => s,
                         Err(e) => return Some(Err(e)),
                     };

@@ -274,13 +274,6 @@ impl Segment {
     /// Opens a segment, validates its footer and verifies the checksum by
     /// streaming the file once (O(1) memory).
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self> {
-        Self::open_with(path, true)
-    }
-
-    /// Opens a segment; `verify_checksum = false` skips the CRC pass (footer
-    /// and magic are still validated) — used on hot paths that will stream
-    /// the data anyway.
-    pub fn open_with<P: AsRef<Path>>(path: P, verify_checksum: bool) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let mut file = File::open(&path)?;
         let meta = read_footer(&mut file, &path)?;
@@ -290,23 +283,21 @@ impl Segment {
         if &head != SEGMENT_MAGIC {
             return Err(corrupt(&path, "bad head magic"));
         }
-        if verify_checksum {
-            let mut crc = Crc32::new();
-            crc.update(&head);
-            let mut remaining = meta.data_len + meta.index_len + (FOOTER_LEN - 12);
-            let mut reader = BufReader::new(&mut file);
-            let mut buf = [0u8; 8192];
-            while remaining > 0 {
-                let want = remaining.min(buf.len() as u64) as usize;
-                reader
-                    .read_exact(&mut buf[..want])
-                    .map_err(|_| corrupt(&path, "truncated while checksumming"))?;
-                crc.update(&buf[..want]);
-                remaining -= want as u64;
-            }
-            if crc.finish() != meta.crc {
-                return Err(corrupt(&path, "checksum mismatch"));
-            }
+        let mut crc = Crc32::new();
+        crc.update(&head);
+        let mut remaining = meta.data_len + meta.index_len + (FOOTER_LEN - 12);
+        let mut reader = BufReader::new(&mut file);
+        let mut buf = [0u8; 8192];
+        while remaining > 0 {
+            let want = remaining.min(buf.len() as u64) as usize;
+            reader
+                .read_exact(&mut buf[..want])
+                .map_err(|_| corrupt(&path, "truncated while checksumming"))?;
+            crc.update(&buf[..want]);
+            remaining -= want as u64;
+        }
+        if crc.finish() != meta.crc {
+            return Err(corrupt(&path, "checksum mismatch"));
         }
         Ok(Segment { path, meta })
     }
@@ -515,16 +506,6 @@ mod tests {
         // Truncated to less than the footer.
         std::fs::write(&path, &bytes[..10]).unwrap();
         assert!(Segment::open(&path).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn checksum_skip_mode_still_validates_footer() {
-        let dir = tmpdir("fast");
-        let path = dir.join("s.seg");
-        write_segment(&path, &[rec(&[8])], 0);
-        let seg = Segment::open_with(&path, false).unwrap();
-        assert_eq!(seg.meta().record_count, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -15,6 +15,10 @@
 //! 4. **Per-job wall-clock timeouts**: a job that outlives
 //!    `ServeConfig::job_reply_timeout` answers 504 without wedging the
 //!    daemon.
+//! 5. **The connection cap**: with `ServeConfig::max_connections`
+//!    connections open, the next one answers 503 + `Retry-After: 1` from
+//!    the accept loop and counts in `serve.requests_rejected`; once a slot
+//!    frees up, requests succeed again.
 //!
 //! The failpoint and metrics registries are process-global, so the tests
 //! serialize on one mutex, reset the metrics when they take it, and scope
@@ -22,12 +26,13 @@
 
 use datagen::{QuestConfig, QuestGenerator};
 use disassoc_faults as faults;
+use disassoc_obs::metrics::counters;
 use disassoc_serve::{client, ServeConfig, Server, ShutdownHandle};
 use disassoc_store::failpoints;
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use transact::Dataset;
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -262,6 +267,50 @@ fn jobs_past_the_wall_clock_timeout_answer_504() {
     // lets the job finish) exits cleanly.
     let health = client::get(addr, "/healthz").unwrap();
     assert_eq!(health.status, 200);
+    shutdown.shutdown();
+    join.join().unwrap().unwrap();
+    std::fs::remove_dir_all(&data_dir).ok();
+}
+
+#[test]
+fn connections_over_the_cap_answer_503_until_a_slot_frees() {
+    let _g = guard();
+    let data_dir = tmpdir("conncap");
+    let config = ServeConfig {
+        max_connections: 1,
+        ..ServeConfig::default()
+    };
+    let (addr, shutdown, join) = spawn_server(&data_dir, config);
+
+    // An idle connection takes the only slot: its thread sits in the
+    // request read until the read timeout.  It is the server's first
+    // connection and the accept loop takes connections in arrival order,
+    // so the slot is held before the next request is accepted.
+    let idle = TcpStream::connect(addr).unwrap();
+    let rejected_before = counters::SERVE_REQUESTS_REJECTED.get();
+    let over = client::get(addr, "/healthz").unwrap();
+    assert_eq!(over.status, 503, "{}", over.text());
+    assert_eq!(over.header("Retry-After").as_deref(), Some("1"));
+    assert!(over.text().contains("connection limit"), "{}", over.text());
+    assert_eq!(
+        counters::SERVE_REQUESTS_REJECTED.get(),
+        rejected_before + 1,
+        "the over-cap connection counts as one rejected request"
+    );
+
+    // Closing the idle connection frees the slot (its thread sees EOF and
+    // exits); service resumes.
+    drop(idle);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let health = client::get(addr, "/healthz").unwrap();
+        if health.status == 200 {
+            break;
+        }
+        assert_eq!(health.status, 503, "{}", health.text());
+        assert!(Instant::now() < deadline, "the slot never freed up");
+        std::thread::sleep(Duration::from_millis(20));
+    }
     shutdown.shutdown();
     join.join().unwrap().unwrap();
     std::fs::remove_dir_all(&data_dir).ok();

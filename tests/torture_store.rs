@@ -64,7 +64,6 @@ fn torture_config() -> StoreConfig {
     StoreConfig {
         memtable_capacity: 8,
         compaction_min_segments: 2,
-        ..StoreConfig::default()
     }
 }
 
@@ -438,7 +437,6 @@ fn compaction_crash_between_segment_write_and_manifest_swap() {
     let config = StoreConfig {
         memtable_capacity: 4,
         compaction_min_segments: 2,
-        ..StoreConfig::default()
     };
     {
         let mut store = Store::open(dir.join("store"), config.clone()).unwrap();
@@ -504,7 +502,6 @@ fn compaction_survives_a_failed_manifest_rename() {
     let config = StoreConfig {
         memtable_capacity: 4,
         compaction_min_segments: 2,
-        ..StoreConfig::default()
     };
     let mut store = Store::open(dir.join("store"), config.clone()).unwrap();
     for batch in all.chunks(4) {
