@@ -169,22 +169,9 @@ pub enum Command {
         listen: String,
         /// Service data directory (one subdirectory per dataset).
         data_dir: PathBuf,
-        /// Worker threads executing anonymize/append jobs.
-        workers: usize,
-        /// Per-dataset bound on queued/running jobs (503 beyond it).
-        queue_depth: usize,
-        /// Pipeline batch size for served anonymizations (0 = default).
-        batch_size: usize,
-        /// Concurrent connections before new ones are rejected.
-        max_connections: usize,
-        /// Largest request body a client may send, bytes.
-        max_body_bytes: u64,
-        /// Socket read timeout, milliseconds.
-        read_timeout_ms: u64,
-        /// Socket write timeout, milliseconds.
-        write_timeout_ms: u64,
-        /// Per-job wall-clock timeout, milliseconds (504 past it).
-        job_timeout_ms: u64,
+        /// The daemon's limits: [`disassoc_serve::ServeConfig::default`]
+        /// overridden by the flags given.
+        config: disassoc_serve::ServeConfig,
         /// Stream a JSONL trace of the daemon's spans/events here.
         trace: Option<PathBuf>,
     },
@@ -436,7 +423,8 @@ pool (503 + Retry-After over the per-dataset --queue-depth), and SIGTERM
 drains in-flight jobs, flushes every store, and exits 0.  Served
 publications are byte-identical to `anonymize` on the same records and
 batch size.  Jobs past --job-timeout-ms answer 504; --trace streams the
-daemon's JSONL span/event trace for its whole lifetime.
+daemon's JSONL span/event trace for its whole lifetime.  Worker, queue,
+connection and timeout values must be at least 1.
 Setting DISASSOC_FAULTS arms the deterministic failpoint registry inside
 the daemon (testing only — see crates/faults/README.md for the syntax).
 
@@ -622,40 +610,50 @@ impl Command {
                     obs: ObsOptions::from_flags(&flags),
                 })
             }
-            "serve" => Ok(Command::Serve {
-                listen: req("listen")?,
-                data_dir: PathBuf::from(req("data-dir")?),
-                workers: parse_usize("workers", &get("workers").unwrap_or_else(|| "2".into()))?,
-                queue_depth: parse_usize(
-                    "queue-depth",
-                    &get("queue-depth").unwrap_or_else(|| "4".into()),
-                )?,
-                batch_size: parse_usize(
-                    "batch-size",
-                    &get("batch-size").unwrap_or_else(|| "0".into()),
-                )?,
-                max_connections: parse_usize(
-                    "max-connections",
-                    &get("max-connections").unwrap_or_else(|| "32".into()),
-                )?,
-                max_body_bytes: parse_u64(
-                    "max-body-bytes",
-                    &get("max-body-bytes").unwrap_or_else(|| (64u64 << 20).to_string()),
-                )?,
-                read_timeout_ms: parse_u64(
-                    "read-timeout-ms",
-                    &get("read-timeout-ms").unwrap_or_else(|| "10000".into()),
-                )?,
-                write_timeout_ms: parse_u64(
-                    "write-timeout-ms",
-                    &get("write-timeout-ms").unwrap_or_else(|| "10000".into()),
-                )?,
-                job_timeout_ms: parse_u64(
-                    "job-timeout-ms",
-                    &get("job-timeout-ms").unwrap_or_else(|| "600000".into()),
-                )?,
-                trace: get("trace").map(PathBuf::from),
-            }),
+            "serve" => {
+                let defaults = disassoc_serve::ServeConfig::default();
+                // A zero worker count, queue depth, connection cap or
+                // timeout would leave the daemon unable to serve anything.
+                let positive = |name: &str| {
+                    get(name)
+                        .map(|v| match parse_usize(name, &v)? {
+                            0 => Err(CliError::Usage(format!("--{name} must be at least 1"))),
+                            n => Ok(n),
+                        })
+                        .transpose()
+                };
+                let millis = |name: &str, default| {
+                    Ok::<_, CliError>(
+                        positive(name)?
+                            .map_or(default, |ms| std::time::Duration::from_millis(ms as u64)),
+                    )
+                };
+                let config = disassoc_serve::ServeConfig {
+                    workers: positive("workers")?.unwrap_or(defaults.workers),
+                    queue_depth: positive("queue-depth")?.unwrap_or(defaults.queue_depth),
+                    max_body_bytes: get("max-body-bytes")
+                        .map(|v| parse_u64("max-body-bytes", &v))
+                        .transpose()?
+                        .unwrap_or(defaults.max_body_bytes),
+                    read_timeout: millis("read-timeout-ms", defaults.read_timeout)?,
+                    write_timeout: millis("write-timeout-ms", defaults.write_timeout)?,
+                    max_connections: positive("max-connections")?
+                        .unwrap_or(defaults.max_connections),
+                    // `--batch-size 0` selects the default, as for `anonymize`.
+                    batch_size: get("batch-size")
+                        .map(|v| parse_usize("batch-size", &v))
+                        .transpose()?
+                        .filter(|&n| n != 0)
+                        .unwrap_or(defaults.batch_size),
+                    job_reply_timeout: millis("job-timeout-ms", defaults.job_reply_timeout)?,
+                };
+                Ok(Command::Serve {
+                    listen: req("listen")?,
+                    data_dir: PathBuf::from(req("data-dir")?),
+                    config,
+                    trace: get("trace").map(PathBuf::from),
+                })
+            }
             "help" | "--help" | "-h" => Ok(Command::Help),
             other => Err(CliError::Usage(format!(
                 "unknown subcommand {other:?}\n{USAGE}"
@@ -832,8 +830,8 @@ impl Command {
                         // Rebuild the incremental state from the store's
                         // current contents, then route the appended records
                         // into it: only the clusters they land in are
-                        // re-anonymized, and only the batches holding those
-                        // clusters are republished.
+                        // re-anonymized, and only the batch files whose bytes
+                        // changed are rewritten (`ChunkDir` skips the rest).
                         let job = AppendJob {
                             config: &config,
                             options: AppendOptions {
@@ -1081,36 +1079,16 @@ impl Command {
             Command::Serve {
                 listen,
                 data_dir,
-                workers,
-                queue_depth,
-                batch_size,
-                max_connections,
-                max_body_bytes,
-                read_timeout_ms,
-                write_timeout_ms,
-                job_timeout_ms,
+                config,
                 trace,
             } => {
-                let config = disassoc_serve::ServeConfig {
-                    workers: (*workers).max(1),
-                    queue_depth: (*queue_depth).max(1),
-                    max_body_bytes: *max_body_bytes,
-                    read_timeout: std::time::Duration::from_millis((*read_timeout_ms).max(1)),
-                    write_timeout: std::time::Duration::from_millis((*write_timeout_ms).max(1)),
-                    max_connections: (*max_connections).max(1),
-                    batch_size: if *batch_size == 0 {
-                        DEFAULT_STORE_BATCH
-                    } else {
-                        *batch_size
-                    },
-                    job_reply_timeout: std::time::Duration::from_millis((*job_timeout_ms).max(1)),
-                };
                 if let Some(path) = trace {
                     disassoc_obs::trace::init_file(path)?;
                 }
                 // SIGTERM/SIGINT become a graceful drain instead of a kill.
                 disassoc_serve::signal::install();
-                let server = disassoc_serve::Server::bind(listen.as_str(), data_dir, config)?;
+                let server =
+                    disassoc_serve::Server::bind(listen.as_str(), data_dir, config.clone())?;
                 let addr = server.local_addr()?;
                 // The daemon tests (and humans backgrounding the process)
                 // read this line to learn the bound port, so it must hit the
@@ -1345,6 +1323,36 @@ mod tests {
             let line =
                 format!("append --input d.dat --store s --k 5 --m 2 --max-dirty-frac {value}");
             assert!(Command::parse(&args(&line)).is_ok(), "{line}");
+        }
+    }
+
+    #[test]
+    fn serve_flags_default_to_serve_config_and_reject_zero() {
+        let base = "serve --listen 127.0.0.1:0 --data-dir d";
+        let parsed = |extra: &str| match Command::parse(&args(&format!("{base} {extra}"))) {
+            Ok(Command::Serve { config, .. }) => Ok(config),
+            Ok(other) => panic!("unexpected {other:?}"),
+            Err(e) => Err(e),
+        };
+        let defaults = disassoc_serve::ServeConfig::default();
+        assert_eq!(parsed("").unwrap(), defaults);
+        assert_eq!(parsed("--batch-size 0").unwrap(), defaults);
+        let set = parsed("--workers 3 --read-timeout-ms 7 --batch-size 64").unwrap();
+        assert_eq!(set.workers, 3);
+        assert_eq!(set.read_timeout, std::time::Duration::from_millis(7));
+        assert_eq!(set.batch_size, 64);
+        assert_eq!(set.queue_depth, defaults.queue_depth);
+        for flag in [
+            "--workers",
+            "--queue-depth",
+            "--max-connections",
+            "--read-timeout-ms",
+            "--write-timeout-ms",
+            "--job-timeout-ms",
+        ] {
+            let err = parsed(&format!("{flag} 0")).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{flag}");
+            assert!(err.to_string().contains(flag), "{flag}: {err}");
         }
     }
 

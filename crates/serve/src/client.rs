@@ -8,6 +8,8 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+use crate::retry::RetrySchedule;
+
 /// A parsed response: status code and body bytes.
 #[derive(Debug)]
 pub struct ClientResponse {
@@ -70,41 +72,15 @@ pub fn post(addr: SocketAddr, target: &str, body: &[u8]) -> std::io::Result<Clie
     request(addr, "POST", target, body)
 }
 
-/// Client-side retry policy for 503 responses: capped exponential backoff
-/// honouring the server's `Retry-After` hint, with a jitter-free
-/// deterministic schedule (the same policy and responses always produce the
-/// same delays).
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total attempts, including the first (1 = never retry).
-    pub max_attempts: u32,
-    /// Backoff before the first retry.
-    pub base_delay: Duration,
-    /// Upper bound on any single delay, including `Retry-After` hints.
-    pub max_delay: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base_delay: Duration::from_millis(50),
-            max_delay: Duration::from_secs(2),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The delay before retry number `retry_index` (0-based): the larger of
-    /// the deterministic exponential step and the server's `Retry-After`
-    /// hint, capped at `max_delay`.
-    pub fn delay(&self, retry_index: u32, retry_after: Option<Duration>) -> Duration {
-        let backoff =
-            crate::retry::capped_exponential(self.base_delay, self.max_delay, retry_index);
-        backoff
-            .max(retry_after.unwrap_or(Duration::ZERO))
-            .min(self.max_delay)
-    }
+/// The delay before retry number `retry_index` (0-based) of a 503: the
+/// larger of `schedule`'s jitter-free exponential step and the server's
+/// `Retry-After` hint, capped at `schedule.cap` — the same schedule and
+/// responses always produce the same delays.
+fn delay(schedule: &RetrySchedule, retry_index: u32, retry_after: Option<Duration>) -> Duration {
+    schedule
+        .delay(retry_index)
+        .max(retry_after.unwrap_or(Duration::ZERO))
+        .min(schedule.cap)
 }
 
 /// A response's `Retry-After` header as a duration (delta-seconds form
@@ -116,25 +92,25 @@ pub fn retry_after(response: &ClientResponse) -> Option<Duration> {
         .map(Duration::from_secs)
 }
 
-/// Like [`request`], but on a 503 the client backs off per `policy`
-/// (honouring `Retry-After`) and retries, surfacing the last response once
-/// attempts are exhausted.  Transport errors are not retried — the caller
-/// cannot tell whether the request took effect.
+/// Like [`request`], but on a 503 the client backs off per `schedule`
+/// (honouring `Retry-After`, capped) and retries, surfacing the last
+/// response once attempts are exhausted.  Transport errors are not retried
+/// — the caller cannot tell whether the request took effect.
 pub fn request_with_retry(
     addr: SocketAddr,
     method: &str,
     target: &str,
     body: &[u8],
-    policy: &RetryPolicy,
+    schedule: &RetrySchedule,
 ) -> std::io::Result<ClientResponse> {
     let mut retry_index = 0u32;
     loop {
         let response = request(addr, method, target, body)?;
-        if response.status != 503 || retry_index + 1 >= policy.max_attempts.max(1) {
+        if response.status != 503 || retry_index + 1 >= schedule.attempts.max(1) {
             return Ok(response);
         }
         let hint = retry_after(&response);
-        std::thread::sleep(policy.delay(retry_index, hint));
+        std::thread::sleep(delay(schedule, retry_index, hint));
         retry_index += 1;
     }
 }
@@ -144,9 +120,9 @@ pub fn post_with_retry(
     addr: SocketAddr,
     target: &str,
     body: &[u8],
-    policy: &RetryPolicy,
+    schedule: &RetrySchedule,
 ) -> std::io::Result<ClientResponse> {
-    request_with_retry(addr, "POST", target, body, policy)
+    request_with_retry(addr, "POST", target, body, schedule)
 }
 
 fn parse_response(raw: &[u8]) -> std::io::Result<ClientResponse> {
@@ -176,31 +152,31 @@ mod tests {
 
     #[test]
     fn retry_schedule_is_deterministic_capped_and_honours_retry_after() {
-        let policy = RetryPolicy {
-            max_attempts: 5,
-            base_delay: Duration::from_millis(50),
-            max_delay: Duration::from_secs(2),
+        let policy = RetrySchedule {
+            attempts: 5,
+            base: Duration::from_millis(50),
+            cap: Duration::from_secs(2),
         };
         // Jitter-free exponential: 50, 100, 200, 400ms...
         let plain: Vec<u64> = (0..4)
-            .map(|i| policy.delay(i, None).as_millis() as u64)
+            .map(|i| delay(&policy, i, None).as_millis() as u64)
             .collect();
         assert_eq!(plain, vec![50, 100, 200, 400]);
         // The same inputs always produce the same schedule.
-        assert_eq!(policy.delay(2, None), policy.delay(2, None));
+        assert_eq!(delay(&policy, 2, None), delay(&policy, 2, None));
         // A Retry-After hint wins when it is longer than the backoff...
         assert_eq!(
-            policy.delay(0, Some(Duration::from_secs(1))),
+            delay(&policy, 0, Some(Duration::from_secs(1))),
             Duration::from_secs(1)
         );
         // ...but never exceeds the cap.
         assert_eq!(
-            policy.delay(0, Some(Duration::from_secs(3600))),
+            delay(&policy, 0, Some(Duration::from_secs(3600))),
             Duration::from_secs(2)
         );
         // And a short hint does not shrink the exponential step.
         assert_eq!(
-            policy.delay(3, Some(Duration::from_millis(1))),
+            delay(&policy, 3, Some(Duration::from_millis(1))),
             Duration::from_millis(400)
         );
     }
@@ -262,10 +238,10 @@ mod tests {
     #[test]
     fn request_with_retry_rides_out_503s() {
         let (addr, server) = fake_flaky_server(2);
-        let policy = RetryPolicy {
-            max_attempts: 4,
-            base_delay: Duration::from_millis(1),
-            max_delay: Duration::from_millis(2),
+        let policy = RetrySchedule {
+            attempts: 4,
+            base: Duration::from_millis(1),
+            cap: Duration::from_millis(2),
         };
         let resp = request_with_retry(addr, "GET", "/healthz", b"", &policy).unwrap();
         assert_eq!(resp.status, 200);
@@ -275,10 +251,10 @@ mod tests {
     #[test]
     fn request_with_retry_surfaces_the_last_503_when_exhausted() {
         let (addr, server) = fake_flaky_server(usize::MAX);
-        let policy = RetryPolicy {
-            max_attempts: 2,
-            base_delay: Duration::from_millis(1),
-            max_delay: Duration::from_millis(2),
+        let policy = RetrySchedule {
+            attempts: 2,
+            base: Duration::from_millis(1),
+            cap: Duration::from_millis(2),
         };
         let resp = request_with_retry(addr, "GET", "/healthz", b"", &policy).unwrap();
         assert_eq!(resp.status, 503);

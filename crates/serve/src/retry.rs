@@ -19,7 +19,8 @@ use crate::dataset::DatasetHandle;
 use crate::error::ServeError;
 use disassoc_obs::metrics::counters;
 
-/// A deterministic capped-exponential backoff schedule.
+/// A deterministic capped-exponential backoff schedule: the server's write
+/// retries and the client's 503 retries ([`crate::client`]) both run on it.
 #[derive(Debug, Clone)]
 pub struct RetrySchedule {
     /// Total attempts (1 = no retry).
@@ -54,16 +55,11 @@ impl RetrySchedule {
     /// The delay before retry number `retry_index` (0-based): jitter-free
     /// `base · 2^retry_index`, capped at `cap`.
     pub fn delay(&self, retry_index: u32) -> Duration {
-        capped_exponential(self.base, self.cap, retry_index)
+        let factor = 1u32.checked_shl(retry_index).unwrap_or(u32::MAX);
+        self.base
+            .checked_mul(factor)
+            .map_or(self.cap, |d| d.min(self.cap))
     }
-}
-
-/// Jitter-free capped exponential backoff: `base · 2^attempt`, never more
-/// than `cap`.  Shared by the server-side retry loop and the client's
-/// `Retry-After` handling, and deterministic for a given input.
-pub fn capped_exponential(base: Duration, cap: Duration, attempt: u32) -> Duration {
-    let factor = 1u32.checked_shl(attempt).unwrap_or(u32::MAX);
-    base.checked_mul(factor).map_or(cap, |d| d.min(cap))
 }
 
 /// Whether retrying could plausibly help: only internal (I/O-shaped)
@@ -124,14 +120,17 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential_capped_and_deterministic() {
-        let base = Duration::from_millis(25);
-        let cap = Duration::from_millis(100);
+        let schedule = RetrySchedule {
+            attempts: 6,
+            base: Duration::from_millis(25),
+            cap: Duration::from_millis(100),
+        };
         let delays: Vec<u64> = (0..6)
-            .map(|i| capped_exponential(base, cap, i).as_millis() as u64)
+            .map(|i| schedule.delay(i).as_millis() as u64)
             .collect();
         assert_eq!(delays, vec![25, 50, 100, 100, 100, 100]);
         // Huge attempt counts saturate instead of overflowing.
-        assert_eq!(capped_exponential(base, cap, 1000), cap);
+        assert_eq!(schedule.delay(1000), schedule.cap);
     }
 
     #[test]

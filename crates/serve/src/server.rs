@@ -38,7 +38,7 @@ use serde_json::Value;
 use transact::{io::RecordReader, Record, TermId};
 
 /// Tuning knobs for [`Server::bind`]; the defaults suit a small host.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Worker threads executing anonymize/append jobs.
     pub workers: usize,

@@ -5,6 +5,9 @@
 //! torture harness can fail or "crash" the store at any durability-relevant
 //! point on demand.  When nothing is armed each site costs one relaxed
 //! atomic load.
+//! Every commit runs through the one commit module (`commit.rs`), which
+//! consults its sites in order: `*.write`, `*.sync`, `*.rename` (the flat
+//! file starts at `*.sync`), and a manifest's `*.gc` on open.
 //!
 //! The names are part of the crate's public robustness contract:
 //! `disassoc-lint` rule DL001 checks that every raw I/O call on the store,

@@ -17,9 +17,9 @@
 //!   ([`segment`]: length-prefixed varint records, sparse offset index,
 //!   footer with record count + term-universe summary + CRC-32);
 //! * the **manifest** ([`manifest`]) names the live segments in scan order
-//!   and is replaced atomically, so an interrupted ingest recovers to a
-//!   consistent state ([`Store::open`] replays the WAL and removes orphaned
-//!   segment files);
+//!   and is replaced atomically by the commit protocol every published file
+//!   shares, so an interrupted ingest recovers to a consistent state
+//!   ([`Store::open`] replays the WAL and sweeps orphaned files);
 //! * **size-tiered compaction** ([`compact`]) merges runs of small adjacent
 //!   segments to keep the per-scan segment count bounded;
 //! * [`Store::scan`] returns a [`RecordBatchIter`] — the chunked read API
@@ -42,6 +42,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod commit;
 pub mod compact;
 pub mod encode;
 pub mod failpoints;
@@ -235,7 +236,7 @@ impl Store {
             std::fs::TryLockError::Error(io) => StoreError::Io(io),
         })?;
         let manifest = Manifest::load(&dir)?;
-        manifest.remove_orphans(&dir)?;
+        manifest::FILE.sweep(&dir, manifest.segments.iter().map(|s| s.file.as_str()))?;
 
         let mut memtable = Vec::new();
         let mut recovered = 0u64;
@@ -348,7 +349,7 @@ impl Store {
             records: meta.record_count,
             bytes,
         });
-        successor.store(&self.dir)?;
+        manifest::FILE.replace(&self.dir, &successor, Vec::new())?;
         self.manifest = successor;
         self.memtable.clear();
         self.wal.truncate()?;
@@ -363,8 +364,8 @@ impl Store {
     }
 
     /// Runs one size-tiered compaction pass (see [`compact`]): merges runs
-    /// of adjacent small segments, commits the manifest, deletes the
-    /// replaced files.
+    /// of adjacent small segments, commits the manifest, then removes the
+    /// replaced files best-effort (the next open sweeps any it missed).
     pub fn compact(&mut self) -> Result<CompactionStats> {
         let (stats, replaced, successor) = compact::compact_pass(
             &self.dir,
@@ -384,11 +385,8 @@ impl Store {
             // Commit first, adopt second: an error anywhere leaves the
             // in-memory state agreeing with the on-disk state (merge outputs
             // not yet committed become orphans, removed on the next open).
-            successor.store(&self.dir)?;
+            manifest::FILE.replace(&self.dir, &successor, replaced)?;
             self.manifest = successor;
-            for file in replaced {
-                std::fs::remove_file(self.dir.join(file))?;
-            }
         }
         Ok(stats)
     }

@@ -2,23 +2,32 @@
 //!
 //! The manifest is a small JSON document (`MANIFEST.json`) naming every live
 //! segment **in scan order**, the next segment id to hand out, and the total
-//! number of records persisted in segments.  It is replaced atomically
-//! (write `MANIFEST.tmp`, fsync, rename), so a crash leaves either the old or
-//! the new manifest — never a torn one.  Segment files present in the
-//! directory but not named by the manifest are orphans of a crashed spill or
-//! compaction and are deleted on open.
+//! number of records persisted in segments.  The store's commit protocol
+//! (`commit.rs`) replaces it atomically (write `MANIFEST.tmp`, fsync,
+//! rename), so a crash leaves the old or the new manifest, never a torn
+//! one.  Segment files it does not name, and a leftover `MANIFEST.tmp`, are
+//! orphans of a crashed spill or compaction and are deleted on open.
 
-use crate::{failpoints, Result, StoreError};
-use disassoc_faults as faults;
+use crate::commit::ManifestFile;
+use crate::{failpoints, Result};
 use serde::{Deserialize, Serialize};
-use std::fs::File;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// File name of the manifest inside a store directory.
 pub const MANIFEST_FILE: &str = "MANIFEST.json";
-const MANIFEST_TMP: &str = "MANIFEST.tmp";
 /// Current manifest format version.
 pub const MANIFEST_VERSION: u32 = 1;
+
+/// The store manifest's file names and failpoint sites.
+pub(crate) const FILE: ManifestFile = ManifestFile {
+    name: MANIFEST_FILE,
+    tmp: "MANIFEST.tmp",
+    owns: ("", ".seg"),
+    write: failpoints::MANIFEST_WRITE,
+    sync: failpoints::MANIFEST_SYNC,
+    rename: failpoints::MANIFEST_RENAME,
+    gc: failpoints::MANIFEST_GC,
+};
 
 /// One live segment, as recorded in the manifest.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -65,85 +74,30 @@ impl Manifest {
     }
 
     /// Loads the manifest from `dir`, or returns the empty default when the
-    /// file does not exist (a fresh store).
+    /// file does not exist (a fresh store).  A manifest of another version,
+    /// or whose segment record counts do not add up, is corrupt.
     pub fn load(dir: &Path) -> Result<Manifest> {
-        let path = dir.join(MANIFEST_FILE);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Manifest::default()),
-            Err(e) => return Err(e.into()),
-        };
-        let manifest: Manifest = serde_json::from_str(&text).map_err(|e| StoreError::Corrupt {
-            file: path.display().to_string(),
-            message: format!("manifest is not valid JSON: {e}"),
-        })?;
-        if manifest.version != MANIFEST_VERSION {
-            return Err(StoreError::Corrupt {
-                file: path.display().to_string(),
-                message: format!("unsupported manifest version {}", manifest.version),
-            });
-        }
-        let sum: u64 = manifest.segments.iter().map(|s| s.records).sum();
-        if sum != manifest.records_in_segments {
-            return Err(StoreError::Corrupt {
-                file: path.display().to_string(),
-                message: format!(
+        FILE.load_json_or_default(dir, |manifest: &Manifest| {
+            let sum: u64 = manifest.segments.iter().map(|s| s.records).sum();
+            if manifest.version != MANIFEST_VERSION {
+                Err(format!("unsupported manifest version {}", manifest.version))
+            } else if sum != manifest.records_in_segments {
+                Err(format!(
                     "manifest record counts disagree ({sum} in segments vs {} recorded)",
                     manifest.records_in_segments
-                ),
-            });
-        }
-        Ok(manifest)
-    }
-
-    /// Atomically replaces the manifest in `dir` with `self`.
-    pub fn store(&self, dir: &Path) -> Result<()> {
-        let tmp = dir.join(MANIFEST_TMP);
-        let final_path = dir.join(MANIFEST_FILE);
-        let bytes = serde_json::to_vec_pretty(self).map_err(|e| StoreError::Corrupt {
-            file: tmp.display().to_string(),
-            message: format!("manifest serialization failed: {e}"),
-        })?;
-        let mut file = File::create(&tmp)?;
-        faults::write_all_at(failpoints::MANIFEST_WRITE, &tmp, &mut file, &bytes)?;
-        faults::check_at(failpoints::MANIFEST_SYNC, &tmp)?;
-        file.sync_all()?;
-        drop(file);
-        faults::check_at(failpoints::MANIFEST_RENAME, &final_path)?;
-        std::fs::rename(&tmp, &final_path)?;
-        crate::sync_dir(dir)?;
-        Ok(())
-    }
-
-    /// Full paths of the live segment files.
-    pub fn segment_paths(&self, dir: &Path) -> Vec<PathBuf> {
-        self.segments.iter().map(|s| dir.join(&s.file)).collect()
-    }
-
-    /// Deletes `.seg` files in `dir` that are not referenced by the
-    /// manifest (orphans of a crashed spill/compaction). Returns how many
-    /// were removed.
-    pub fn remove_orphans(&self, dir: &Path) -> Result<usize> {
-        faults::check_at(failpoints::MANIFEST_GC, dir)?;
-        let live: std::collections::BTreeSet<&str> =
-            self.segments.iter().map(|s| s.file.as_str()).collect();
-        let mut removed = 0;
-        for entry in std::fs::read_dir(dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name.ends_with(".seg") && !live.contains(name) {
-                std::fs::remove_file(entry.path())?;
-                removed += 1;
+                ))
+            } else {
+                Ok(())
             }
-        }
-        Ok(removed)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StoreError;
+    use std::path::PathBuf;
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("disassoc_store_manifest_{name}"));
@@ -186,9 +140,9 @@ mod tests {
     fn store_and_load_roundtrip() {
         let dir = tmpdir("roundtrip");
         let m = sample();
-        m.store(&dir).unwrap();
+        FILE.replace(&dir, &m, Vec::new()).unwrap();
         assert_eq!(Manifest::load(&dir).unwrap(), m);
-        assert!(!dir.join(MANIFEST_TMP).exists());
+        assert!(!dir.join(FILE.tmp).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -223,10 +177,11 @@ mod tests {
         }
         std::fs::write(dir.join(Manifest::segment_file_name(1)), b"orphan").unwrap();
         std::fs::write(dir.join("unrelated.txt"), b"keep").unwrap();
-        let removed = m.remove_orphans(&dir).unwrap();
-        assert_eq!(removed, 1);
+        FILE.sweep(&dir, m.segments.iter().map(|s| s.file.as_str()))
+            .unwrap();
         assert!(!dir.join(Manifest::segment_file_name(1)).exists());
         assert!(dir.join(Manifest::segment_file_name(0)).exists());
+        assert!(dir.join(Manifest::segment_file_name(2)).exists());
         assert!(dir.join("unrelated.txt").exists());
         std::fs::remove_dir_all(&dir).ok();
     }

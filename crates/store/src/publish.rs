@@ -12,8 +12,9 @@
 //!
 //! The manifest rename is the *only* commit point, so a crash anywhere in a
 //! republish leaves the directory with either the complete old chunk set or
-//! the complete new one — never a mix.  Staged files orphaned by a crash
-//! are garbage-collected on the next [`ChunkDir::open`].
+//! the complete new one — never a mix.  Orphans of a crash (staged files, a
+//! temp manifest) are swept on the next [`ChunkDir::open`], by the store's
+//! one commit protocol (`commit.rs`) that also commits the flat file below.
 //!
 //! An incremental append republishes only dirty batches: unchanged batches
 //! keep their old files byte-for-byte (and their manifest entries), which
@@ -26,8 +27,9 @@
 //! remove on error) and [`AppendJob`] (rebuild from the store, append,
 //! persist, republish).
 
-use crate::{failpoints, Result, Store, StoreError};
-use disassoc_faults as faults;
+use crate::commit::{self, ManifestFile};
+use crate::failpoints::{self, CLI_PUBLISH_RENAME, CLI_PUBLISH_SYNC};
+use crate::{Result, Store, StoreError};
 use disassoc_obs::metrics::counters as obs_counters;
 use disassociation::model::{ClusterNode, DisassociatedDataset};
 use disassociation::pipeline::JsonChunksSink;
@@ -42,9 +44,19 @@ use transact::Record;
 
 /// File name of the chunk manifest inside a publication directory.
 pub const CHUNK_MANIFEST_FILE: &str = "CHUNKS.json";
-const CHUNK_MANIFEST_TMP: &str = "CHUNKS.tmp";
 /// Current chunk-manifest format version.
 pub const CHUNK_MANIFEST_VERSION: u32 = 1;
+
+/// The chunk manifest's file names and failpoint sites.
+const FILE: ManifestFile = ManifestFile {
+    name: CHUNK_MANIFEST_FILE,
+    tmp: "CHUNKS.tmp",
+    owns: ("batch-", ".json"),
+    write: failpoints::PUBLISH_COMMIT_WRITE,
+    sync: failpoints::PUBLISH_COMMIT_SYNC,
+    rename: failpoints::PUBLISH_COMMIT_RENAME,
+    gc: failpoints::PUBLISH_GC,
+};
 
 /// One published batch, as recorded in the chunk manifest.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -80,71 +92,14 @@ impl Default for ChunkManifest {
     }
 }
 
-impl ChunkManifest {
-    fn load(dir: &Path) -> Result<ChunkManifest> {
-        let path = dir.join(CHUNK_MANIFEST_FILE);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(ChunkManifest::default())
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let manifest: ChunkManifest =
-            serde_json::from_str(&text).map_err(|e| StoreError::Corrupt {
-                file: path.display().to_string(),
-                message: format!("chunk manifest is not valid JSON: {e}"),
-            })?;
-        if manifest.version != CHUNK_MANIFEST_VERSION {
-            return Err(StoreError::Corrupt {
-                file: path.display().to_string(),
-                message: format!("unsupported chunk manifest version {}", manifest.version),
-            });
-        }
-        Ok(manifest)
-    }
-
-    fn store(&self, dir: &Path) -> Result<()> {
-        let tmp = dir.join(CHUNK_MANIFEST_TMP);
-        let final_path = dir.join(CHUNK_MANIFEST_FILE);
-        let bytes = serde_json::to_vec_pretty(self).map_err(|e| StoreError::Corrupt {
-            file: tmp.display().to_string(),
-            message: format!("chunk manifest serialization failed: {e}"),
-        })?;
-        let mut file = File::create(&tmp)?;
-        faults::write_all_at(failpoints::PUBLISH_COMMIT_WRITE, &tmp, &mut file, &bytes)?;
-        faults::check_at(failpoints::PUBLISH_COMMIT_SYNC, &tmp)?;
-        file.sync_all()?;
-        drop(file);
-        faults::check_at(failpoints::PUBLISH_COMMIT_RENAME, &final_path)?;
-        std::fs::rename(&tmp, &final_path)?;
-        crate::sync_dir(dir)?;
-        Ok(())
-    }
-}
-
-/// Commits a fully staged `.partial` file to its final path: fsync the
-/// staged bytes, atomically rename onto `final_path` (the commit point),
-/// then fsync the parent directory so the rename itself is durable.  Every
-/// flat-file (non-chunked) publication — the CLI's and the daemon's —
-/// routes through here via [`publish_flat_file`], so the
-/// [`failpoints::CLI_SITES`] seam covers it: a crash anywhere leaves either
-/// the complete old publication or the complete new one.
-///
-/// The caller is responsible for having finished writing `partial`; on
-/// error the staged file is left in place for the caller to clean up.
+/// Commits a fully written `.partial` file onto `final_path`: fsync, atomic
+/// rename (the commit point), directory fsync.  Every flat-file publication
+/// — the CLI's and the daemon's — routes through here via
+/// [`publish_flat_file`] under the [`failpoints::CLI_SITES`] seam, so a
+/// crash leaves the complete old or the complete new publication.  On error
+/// the staged file is left in place for the caller to clean up.
 pub fn commit_flat_file(partial: &Path, final_path: &Path) -> Result<()> {
-    faults::check_at(failpoints::CLI_PUBLISH_SYNC, partial)?;
-    File::open(partial)?.sync_all()?;
-    faults::check_at(failpoints::CLI_PUBLISH_RENAME, final_path)?;
-    std::fs::rename(partial, final_path)?;
-    // A bare file name has the empty path as its parent.
-    let dir = match final_path.parent() {
-        Some(dir) if !dir.as_os_str().is_empty() => dir,
-        _ => Path::new("."),
-    };
-    crate::sync_dir(dir)?;
-    Ok(())
+    commit::sync_and_rename(partial, final_path, CLI_PUBLISH_SYNC, CLI_PUBLISH_RENAME)
 }
 
 /// Publishes a flat `.chunks.json` file at `final_path`.
@@ -208,9 +163,10 @@ pub struct Appended {
 impl AppendJob<'_> {
     /// Rebuilds the incremental state from `store`'s records, routes
     /// `records` into it, persists them (`append_batch` + `flush`), then
-    /// republishes: to `chunk_dir` (every batch into an empty directory,
-    /// else only the dirty ones — byte-identical batches are skipped either
-    /// way) and as the flat file `flat_file` via [`publish_flat_file`].
+    /// republishes to `chunk_dir` and as the flat file `flat_file` via
+    /// [`publish_flat_file`].  The rebuild leaves every batch dirty, so
+    /// every batch is delivered to `chunk_dir`; what leaves clean batch
+    /// files untouched is [`ChunkDir`]'s skip of byte-identical content.
     pub fn run<E>(
         &self,
         store: &mut Store,
@@ -232,11 +188,7 @@ impl AppendJob<'_> {
         store.append_batch(records)?;
         store.flush()?;
         if let Some(chunk_dir) = chunk_dir {
-            if chunk_dir.is_empty() {
-                pipeline.publish_all(chunk_dir)?;
-            } else {
-                pipeline.publish_dirty(chunk_dir)?;
-            }
+            pipeline.publish_all(chunk_dir)?;
         }
         if let Some(path) = flat_file {
             publish_flat_file(path, self.config, |sink| {
@@ -290,19 +242,21 @@ pub struct ChunkDir {
 
 impl ChunkDir {
     /// Opens (creating if needed) a publication directory, loading its
-    /// manifest and deleting any `batch-*.json` files a crashed publish
-    /// left unreferenced.
+    /// manifest and sweeping the `batch-*.json` files and temp manifest a
+    /// crashed publish left unreferenced.
     pub fn open(dir: impl Into<PathBuf>) -> Result<ChunkDir> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let manifest = ChunkManifest::load(&dir)?;
-        let this = ChunkDir {
+        let manifest = FILE.load_json_or_default(&dir, |m: &ChunkManifest| match m.version {
+            CHUNK_MANIFEST_VERSION => Ok(()),
+            v => Err(format!("unsupported chunk manifest version {v}")),
+        })?;
+        FILE.sweep(&dir, manifest.batches.iter().map(|b| b.file.as_str()))?;
+        Ok(ChunkDir {
             dir,
             manifest,
             staged: Vec::new(),
-        };
-        this.remove_orphans()?;
-        Ok(this)
+        })
     }
 
     /// The publication directory.
@@ -342,12 +296,7 @@ impl ChunkDir {
     }
 
     fn read_entry(&self, entry: &ChunkEntry) -> Result<BatchChunks> {
-        let path = self.dir.join(&entry.file);
-        let text = std::fs::read_to_string(&path)?;
-        serde_json::from_str(&text).map_err(|e| StoreError::Corrupt {
-            file: path.display().to_string(),
-            message: format!("chunk file is not valid JSON: {e}"),
-        })
+        commit::read_json(&self.dir.join(&entry.file), |_| Ok(()))
     }
 
     /// The combined published dataset across all committed batches, in
@@ -426,11 +375,12 @@ impl ChunkDir {
                 }
             }
         }
-        let path = self.dir.join(&file);
-        let mut out = File::create(&path)?;
-        faults::write_all_at(failpoints::PUBLISH_STAGE_WRITE, &path, &mut out, &bytes)?;
-        faults::check_at(failpoints::PUBLISH_STAGE_SYNC, &path)?;
-        out.sync_all()?;
+        commit::write_synced(
+            &self.dir.join(&file),
+            &bytes,
+            failpoints::PUBLISH_STAGE_WRITE,
+            failpoints::PUBLISH_STAGE_SYNC,
+        )?;
         obs_counters::STORE_CHUNKS_STAGED.inc();
         self.staged.retain(|s| s.batch_index != batch.batch_index);
         self.staged.push(ChunkEntry {
@@ -461,44 +411,10 @@ impl ChunkDir {
             }
         }
         next.batches.sort_by_key(|b| b.batch_index);
-        next.store(&self.dir)?;
+        FILE.replace(&self.dir, &next, replaced)?;
         self.manifest = next;
         obs_counters::STORE_CHUNK_COMMITS.inc();
-        // The old files are unreferenced as of the committed rename;
-        // deleting them is best-effort cleanup, not part of the commit.
-        for file in replaced {
-            let _ = std::fs::remove_file(self.dir.join(file));
-        }
         Ok(())
-    }
-
-    /// Deletes `batch-*.json` files not referenced by the committed
-    /// manifest (orphans of a crashed publish).  Returns how many were
-    /// removed.
-    pub fn remove_orphans(&self) -> Result<usize> {
-        faults::check_at(failpoints::PUBLISH_GC, &self.dir)?;
-        let live: std::collections::BTreeSet<&str> = self
-            .manifest
-            .batches
-            .iter()
-            .map(|b| b.file.as_str())
-            .collect();
-        let mut removed = 0;
-        for entry in std::fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name.starts_with("batch-") && name.ends_with(".json") && !live.contains(name) {
-                std::fs::remove_file(entry.path())?;
-                removed += 1;
-            }
-        }
-        // A temp manifest is equally an orphan of a crashed commit.
-        let tmp = self.dir.join(CHUNK_MANIFEST_TMP);
-        if tmp.exists() {
-            std::fs::remove_file(tmp)?;
-        }
-        Ok(removed)
     }
 }
 

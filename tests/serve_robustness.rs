@@ -172,10 +172,10 @@ fn persistent_write_failure_degrades_one_dataset_and_spares_the_rest() {
 
     // A retrying client sees the degraded 503s surface after its attempts
     // are exhausted — deterministically, honouring Retry-After.
-    let policy = client::RetryPolicy {
-        max_attempts: 2,
-        base_delay: Duration::from_millis(1),
-        max_delay: Duration::from_millis(2),
+    let policy = disassoc_serve::retry::RetrySchedule {
+        attempts: 2,
+        base: Duration::from_millis(1),
+        cap: Duration::from_millis(2),
     };
     let resp = client::post_with_retry(addr, "/datasets/dsa/records", &body_a, &policy).unwrap();
     assert_eq!(resp.status, 503);
