@@ -997,8 +997,9 @@ impl Command {
                 samples,
                 seed,
             } => {
-                let text = std::fs::read_to_string(chunks)?;
-                let published: disassociation::DisassociatedDataset = serde_json::from_str(&text)?;
+                let bytes = std::fs::read(chunks)?;
+                let published: disassociation::DisassociatedDataset =
+                    serde_json::from_slice(&bytes)?;
                 let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(*seed);
                 let reconstructions = reconstruct_many(&published, (*samples).max(1), &mut rng);
                 for (i, d) in reconstructions.iter().enumerate() {

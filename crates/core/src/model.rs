@@ -81,7 +81,12 @@ impl RecordChunk {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct TermChunk {
     /// The terms (sorted, set semantics).
+    #[serde(deserialize_with = "decode_terms")]
     pub terms: Vec<TermId>,
+}
+
+fn decode_terms(r: &mut serde::JsonReader<'_>) -> Result<Vec<TermId>, serde::Error> {
+    transact::term::decode_sorted_ids(r, "TermChunk")
 }
 
 impl TermChunk {
@@ -408,6 +413,38 @@ mod tests {
 
     fn tid(i: u32) -> TermId {
         TermId::new(i)
+    }
+
+    #[test]
+    fn decoding_rejects_repeated_fields_and_unsorted_term_chunks() {
+        let err =
+            serde_json::from_str::<DisassociatedDataset>(r#"{"k":5,"k":9,"m":2,"clusters":[]}"#)
+                .unwrap_err()
+                .to_string();
+        assert!(
+            err.contains("duplicate field `k` of `DisassociatedDataset`"),
+            "{err}"
+        );
+        let unknown: DisassociatedDataset =
+            serde_json::from_str(r#"{"k":5,"extra":{"x":[1]},"m":2,"clusters":[]}"#).unwrap();
+        assert_eq!((unknown.k, unknown.m), (5, 2), "unknown fields are ignored");
+        let err = serde_json::from_str::<DisassociatedDataset>(r#"{"k":5,"m":2}"#)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("missing field `clusters` of `DisassociatedDataset`"),
+            "{err}"
+        );
+
+        let chunk: TermChunk = serde_json::from_str(r#"{"terms":[2,7]}"#).unwrap();
+        assert_eq!(chunk, TermChunk::new(vec![tid(7), tid(2)]));
+        let err = serde_json::from_str::<TermChunk>(r#"{"terms":[7,2]}"#)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("term ids of `TermChunk` must strictly increase"),
+            "{err}"
+        );
     }
 
     fn simple_cluster() -> Cluster {

@@ -111,14 +111,15 @@ impl ManifestFile {
     }
 }
 
-/// The JSON document at `path`.  Unparseable JSON, or a document `check`
-/// rejects, is [`StoreError::Corrupt`] naming the file.
+/// The JSON document at `path`.  Unparseable JSON (invalid UTF-8 inside a
+/// string included), or a document `check` rejects, is
+/// [`StoreError::Corrupt`] naming the file.
 pub(crate) fn read_json<T: Deserialize>(
     path: &Path,
     check: impl FnOnce(&T) -> std::result::Result<(), String>,
 ) -> Result<T> {
-    let text = std::fs::read_to_string(path)?;
-    serde_json::from_str(&text)
+    let bytes = std::fs::read(path)?;
+    serde_json::from_slice(&bytes)
         .map_err(|e| format!("not valid JSON: {e}"))
         .and_then(|doc| check(&doc).map(|()| doc))
         .map_err(|message| StoreError::Corrupt {

@@ -589,6 +589,38 @@ mod tests {
     }
 
     #[test]
+    fn non_utf8_or_unsorted_batch_files_are_corrupt_naming_the_file() {
+        let dir = tmpdir("corrupt");
+        let mut chunks = ChunkDir::open(&dir).unwrap();
+        chunks.accept(batch(0, 10)).unwrap();
+        chunks.finish().unwrap();
+        let path = dir.join(&chunks.manifest().batches[0].file);
+        let good = std::fs::read_to_string(&path).unwrap();
+        let unsorted = good.replace(
+            r#""term_chunk":{"terms":[]}"#,
+            r#""term_chunk":{"terms":[5,1]}"#,
+        );
+        assert_ne!(unsorted, good);
+        for (bytes, needle) in [
+            (b"{\"batch_index\":\xff}".to_vec(), "at byte 15"),
+            (
+                unsorted.into_bytes(),
+                "term ids of `TermChunk` must strictly increase",
+            ),
+        ] {
+            std::fs::write(&path, bytes).unwrap();
+            match chunks.combined_filtered(TermId::new(10)) {
+                Err(StoreError::Corrupt { file, message }) => {
+                    assert_eq!(file, path.display().to_string());
+                    assert!(message.contains(needle), "{message}");
+                }
+                other => panic!("expected a corrupt-file error, got {other:?}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn empty_finish_commits_nothing() {
         let dir = tmpdir("empty");
         let mut chunks = ChunkDir::open(&dir).unwrap();

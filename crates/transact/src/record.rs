@@ -13,7 +13,12 @@ use serde::{Deserialize, Serialize};
 /// A canonical (sorted, deduplicated) set of terms.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub struct Record {
+    #[serde(deserialize_with = "decode_terms")]
     terms: Vec<TermId>,
+}
+
+fn decode_terms(r: &mut serde::JsonReader<'_>) -> Result<Vec<TermId>, serde::Error> {
+    crate::term::decode_sorted_ids(r, "Record")
 }
 
 impl Record {
@@ -215,6 +220,19 @@ mod tests {
 
     fn r(ids: &[u32]) -> Record {
         Record::from_ids(ids.iter().map(|&i| TermId::new(i)))
+    }
+
+    #[test]
+    fn decoding_rejects_terms_that_do_not_strictly_increase() {
+        let back: Record = serde_json::from_str(r#"{"terms":[1,5,9]}"#).unwrap();
+        assert_eq!(back, r(&[1, 5, 9]));
+        for bad in [r#"{"terms":[5,1,5]}"#, r#"{"terms":[1,1]}"#] {
+            let err = serde_json::from_str::<Record>(bad).unwrap_err().to_string();
+            assert!(
+                err.contains("term ids of `Record` must strictly increase"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

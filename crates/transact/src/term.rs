@@ -37,6 +37,25 @@ impl TermId {
     }
 }
 
+/// Reads a sorted id set (a [`crate::Record`]'s or a term chunk's terms),
+/// rejecting ids that do not strictly increase with an error naming
+/// `owner`: binary-search lookups on an unsorted list miss terms.
+pub fn decode_sorted_ids(
+    r: &mut serde::JsonReader<'_>,
+    owner: &str,
+) -> Result<Vec<TermId>, serde::Error> {
+    let mut ids: Vec<TermId> = Vec::new();
+    r.begin_array()?;
+    while r.next_element()? {
+        let id = TermId::deserialize(r)?;
+        if ids.last().is_some_and(|&last| last >= id) {
+            return Err(r.error(format_args!("term ids of `{owner}` must strictly increase")));
+        }
+        ids.push(id);
+    }
+    Ok(ids)
+}
+
 impl From<u32> for TermId {
     #[inline]
     fn from(raw: u32) -> Self {

@@ -4,28 +4,32 @@
 //! this shim provides the slice of serde that the pipeline uses: the
 //! [`Serialize`] / [`Deserialize`] traits, `#[derive(Serialize, Deserialize)]`
 //! (re-exported from the companion `serde_derive` proc-macro crate, with
-//! support for the `#[serde(skip)]` and `#[serde(default)]` attributes), and
-//! impls for the std types that appear in the data model.
+//! support for the `#[serde(skip)]`, `#[serde(default)]` and
+//! `#[serde(deserialize_with = "path")]` attributes), and impls for the std
+//! types that appear in the data model.
 //!
 //! Unlike upstream serde there is no `Serializer`/`Deserializer` abstraction
-//! and the only format is JSON. Serialization writes JSON text directly:
-//! every [`Serialize`] impl appends itself to a [`JsonWriter`], a byte buffer
-//! plus the compact or pretty indent state, so no intermediate tree is
-//! built. Deserialization goes through a JSON-like [`Value`] tree that the
-//! companion `serde_json` shim parses. Round-trips through `serde_json` are
-//! lossless for every type in this workspace (integers are parsed as
-//! `i128`, so `u64` seeds survive exactly).
+//! and the only format is JSON, in both directions without an intermediate
+//! tree. Every [`Serialize`] impl appends itself to a [`JsonWriter`], a byte
+//! buffer plus the compact or pretty indent state. Every [`Deserialize`] impl
+//! pulls itself out of a [`JsonReader`], a cursor over the input bytes, so
+//! no [`Value`] tree is built on any decode of a typed value; `Value` is only
+//! the dynamic tree for callers that want one. Integers decode straight into
+//! their type with checked overflow, so `u64` seeds round-trip exactly, and
+//! a fractional or out-of-range number read into an integer is an error.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use serde_derive::{Deserialize, Serialize};
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::fmt::Display;
 use std::hash::{BuildHasher, Hash};
 
-/// A JSON-like value tree: what the `serde_json` shim parses JSON into and
-/// [`Deserialize`] impls read.
+/// A dynamic JSON value tree, for callers that want one (ad-hoc response
+/// bodies, tests). Typed values never pass through it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -327,16 +331,546 @@ impl<'a> JsonWriter<'a> {
 /// covers (31 levels).
 const BREAK: &[u8; 64] = b",\n                                                              ";
 
+/// A JSON pull parser over bytes: the source of every [`Deserialize`] impl.
+///
+/// Mirrors [`JsonWriter`]: containers are read with [`begin_object`] and
+/// [`next_key`] until it yields `None`, or with [`begin_array`] and
+/// [`next_element`] until it yields `false`; scalars with [`u64`],
+/// [`i64`], [`f64`], [`bool`], [`string`] and [`null`]; a value nobody
+/// wants with [`skip_value`]. The input follows RFC 8259 exactly: a syntax
+/// error anywhere, also inside a skipped value, is an error, and every error
+/// names the byte offset where it was found. UTF-8 is only checked inside
+/// strings; anywhere else a non-ASCII byte is a syntax error anyway.
+///
+/// [`begin_object`]: JsonReader::begin_object
+/// [`next_key`]: JsonReader::next_key
+/// [`begin_array`]: JsonReader::begin_array
+/// [`next_element`]: JsonReader::next_element
+/// [`u64`]: JsonReader::u64
+/// [`i64`]: JsonReader::i64
+/// [`f64`]: JsonReader::f64
+/// [`bool`]: JsonReader::bool
+/// [`string`]: JsonReader::string
+/// [`null`]: JsonReader::null
+/// [`skip_value`]: JsonReader::skip_value
+#[derive(Debug)]
+pub struct JsonReader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    /// Whether the innermost container was just opened, so its first
+    /// element or field comes without a comma.
+    first: bool,
+}
+
+/// The syntax of one JSON number: `-? int (. frac)? ([eE] [+-]? exp)?`.
+struct Number<'a> {
+    start: usize,
+    negative: bool,
+    int: &'a [u8],
+    frac: &'a [u8],
+    /// The exponent, saturated to `i64`; 0 when absent.
+    exp: i64,
+    /// Whether a fraction or an exponent was written.
+    decimal: bool,
+}
+
+impl Number<'_> {
+    /// The magnitude when the number is an integer that fits `u64`,
+    /// computed exactly from the digits (`1e3` and `2.50e1` are integers,
+    /// `1.5` is not).
+    fn magnitude(&self) -> Option<u64> {
+        let digits = || {
+            self.int
+                .iter()
+                .chain(self.frac)
+                .map(|d| u64::from(d - b'0'))
+        };
+        let zeros = digits().rev().take_while(|&d| d == 0).count();
+        let kept = self.int.len() + self.frac.len() - zeros;
+        if kept == 0 {
+            return Some(0);
+        }
+        let frac_len = i64::try_from(self.frac.len()).unwrap_or(i64::MAX);
+        let zeros = i64::try_from(zeros).unwrap_or(i64::MAX);
+        let scale = self.exp.saturating_sub(frac_len).saturating_add(zeros);
+        if scale < 0 {
+            return None;
+        }
+        let mut value = digits()
+            .take(kept)
+            .try_fold(0u64, |v, d| v.checked_mul(10)?.checked_add(d))?;
+        for _ in 0..scale {
+            value = value.checked_mul(10)?;
+        }
+        Some(value)
+    }
+}
+
+impl<'a> JsonReader<'a> {
+    /// A reader at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        JsonReader {
+            bytes,
+            pos: 0,
+            first: false,
+        }
+    }
+
+    /// Checks that nothing but whitespace follows the values read so far.
+    pub fn finish(mut self) -> Result<(), Error> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(self.error("trailing characters after JSON value")),
+        }
+    }
+
+    /// An error at the current byte offset.
+    pub fn error(&self, msg: impl Display) -> Error {
+        self.error_at(self.pos, msg)
+    }
+
+    fn error_at(&self, offset: usize, msg: impl Display) -> Error {
+        Error::custom(format!("{msg} at byte {offset}"))
+    }
+
+    /// "expected `what`", or "unexpected end" at the end of the input.
+    fn expected(&self, what: &str) -> Error {
+        if self.pos == self.bytes.len() {
+            self.error("unexpected end of JSON input")
+        } else {
+            self.error(format_args!("expected {what}"))
+        }
+    }
+
+    /// Skips whitespace and returns the next byte, without consuming it.
+    pub fn peek(&mut self) -> Option<u8> {
+        while let Some(&b) = self.bytes.get(self.pos) {
+            if !matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
+                return Some(b);
+            }
+            self.pos += 1;
+        }
+        None
+    }
+
+    /// Consumes `b` if it is the next byte (no whitespace skipped).
+    fn eat(&mut self, b: u8) -> bool {
+        let hit = self.bytes.get(self.pos) == Some(&b);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// Opens an object.
+    pub fn begin_object(&mut self) -> Result<(), Error> {
+        self.open(b'{', "an object")
+    }
+
+    /// The next key of the innermost object, with its `:` consumed, or
+    /// `None` (with the `}` consumed) once the object ends. A key without
+    /// escapes is borrowed from the input; the caller reads its value next.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, Error> {
+        if !self.more(b'}')? {
+            return Ok(None);
+        }
+        if self.peek() != Some(b'"') {
+            return Err(self.expected("a string key"));
+        }
+        let key = self.string()?;
+        if self.peek() != Some(b':') {
+            return Err(self.expected("`:`"));
+        }
+        self.pos += 1;
+        Ok(Some(key))
+    }
+
+    /// Opens an array.
+    pub fn begin_array(&mut self) -> Result<(), Error> {
+        self.open(b'[', "an array")
+    }
+
+    /// Whether the innermost array holds another element, which the caller
+    /// reads next; `false` (with the `]` consumed) once the array ends.
+    pub fn next_element(&mut self) -> Result<bool, Error> {
+        self.more(b']')
+    }
+
+    /// Reads the next element of a fixed-length array (a tuple, or the tuple
+    /// type `what`).
+    pub fn element<T: Deserialize>(&mut self, what: &str) -> Result<T, Error> {
+        if !self.next_element()? {
+            return Err(self.error(format_args!("too few elements for `{what}`")));
+        }
+        T::deserialize(self)
+    }
+
+    /// Closes a fixed-length array read with [`element`](Self::element),
+    /// which must hold no further element.
+    pub fn end_array(&mut self, what: &str) -> Result<(), Error> {
+        if self.next_element()? {
+            return Err(self.error(format_args!("too many elements for `{what}`")));
+        }
+        Ok(())
+    }
+
+    fn open(&mut self, bracket: u8, what: &str) -> Result<(), Error> {
+        if self.peek() != Some(bracket) {
+            return Err(self.expected(what));
+        }
+        self.pos += 1;
+        self.first = true;
+        Ok(())
+    }
+
+    /// Consumes the separator before the next item of the innermost
+    /// container and returns `true`, or consumes its `close` bracket and
+    /// returns `false`.
+    fn more(&mut self, close: u8) -> Result<bool, Error> {
+        let first = std::mem::replace(&mut self.first, false);
+        match self.peek() {
+            Some(b) if b == close => {
+                self.pos += 1;
+                Ok(false)
+            }
+            Some(b',') if !first => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ if first => Ok(true),
+            _ => Err(self.expected(&format!("`,` or `{}`", char::from(close)))),
+        }
+    }
+
+    /// Consumes a `null` if one comes next; returns whether it did.
+    pub fn null(&mut self) -> Result<bool, Error> {
+        if self.peek() != Some(b'n') {
+            return Ok(false);
+        }
+        self.literal(b"null")?;
+        Ok(true)
+    }
+
+    /// Reads `true` or `false`.
+    pub fn bool(&mut self) -> Result<bool, Error> {
+        match self.peek() {
+            Some(b't') => self.literal(b"true").map(|()| true),
+            Some(b'f') => self.literal(b"false").map(|()| false),
+            _ => Err(self.expected("a boolean")),
+        }
+    }
+
+    fn literal(&mut self, lit: &[u8]) -> Result<(), Error> {
+        if !self.bytes[self.pos..].starts_with(lit) {
+            return Err(self.error("invalid literal"));
+        }
+        self.pos += lit.len();
+        Ok(())
+    }
+
+    /// Reads an integer into `u64`.
+    pub fn u64(&mut self) -> Result<u64, Error> {
+        self.unsigned("u64")
+    }
+
+    /// Reads an integer into `i64`.
+    pub fn i64(&mut self) -> Result<i64, Error> {
+        self.signed("i64")
+    }
+
+    /// Reads a number as `f64`.
+    pub fn f64(&mut self) -> Result<f64, Error> {
+        let number = self.number("a number")?;
+        self.text(number.start)
+            .parse()
+            .map_err(|_| self.error_at(number.start, "invalid number"))
+    }
+
+    /// Reads an integer into the unsigned type `ty`.
+    fn unsigned<T: TryFrom<u64>>(&mut self, ty: &str) -> Result<T, Error> {
+        let number = self.number("an integer")?;
+        number
+            .magnitude()
+            .filter(|&m| !number.negative || m == 0)
+            .and_then(|m| T::try_from(m).ok())
+            .ok_or_else(|| self.not_an_integer(&number, ty))
+    }
+
+    /// Reads an integer into the signed type `ty`.
+    fn signed<T: TryFrom<i64>>(&mut self, ty: &str) -> Result<T, Error> {
+        let number = self.number("an integer")?;
+        number
+            .magnitude()
+            .and_then(|m| match number.negative {
+                true => 0i64.checked_sub_unsigned(m),
+                false => i64::try_from(m).ok(),
+            })
+            .and_then(|v| T::try_from(v).ok())
+            .ok_or_else(|| self.not_an_integer(&number, ty))
+    }
+
+    fn not_an_integer(&self, number: &Number<'_>, ty: &str) -> Error {
+        let text = self.text(number.start);
+        self.error_at(
+            number.start,
+            format_args!("`{text}` is not an integer in the range of `{ty}`"),
+        )
+    }
+
+    /// The ASCII text from `start` to the current offset.
+    fn text(&self, start: usize) -> &'a str {
+        let bytes: &'a [u8] = self.bytes;
+        std::str::from_utf8(&bytes[start..self.pos]).unwrap_or_default()
+    }
+
+    /// Scans one number per RFC 8259 (so `01`, `1.`, `.5` and a lone `-`
+    /// are rejected); `what` names the expected value in the error when no
+    /// number comes next.
+    fn number(&mut self, what: &str) -> Result<Number<'a>, Error> {
+        let bytes: &'a [u8] = self.bytes;
+        let start = match self.peek() {
+            Some(b'-' | b'0'..=b'9') => self.pos,
+            _ => return Err(self.expected(what)),
+        };
+        let negative = self.eat(b'-');
+        let int_start = self.pos;
+        match bytes.get(self.pos) {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => self.digits(),
+            _ => return Err(self.error_at(start, "invalid number")),
+        }
+        let int = &bytes[int_start..self.pos];
+        let mut frac: &[u8] = &[];
+        let mut decimal = false;
+        if self.eat(b'.') {
+            frac = self.required_digits(start)?;
+            decimal = true;
+        }
+        let mut exp = 0i64;
+        if self.eat(b'e') || self.eat(b'E') {
+            let negative_exp = self.eat(b'-');
+            if !negative_exp {
+                self.eat(b'+');
+            }
+            exp = self.required_digits(start)?.iter().fold(0i64, |e, &d| {
+                e.saturating_mul(10).saturating_add(i64::from(d - b'0'))
+            });
+            if negative_exp {
+                exp = -exp;
+            }
+            decimal = true;
+        }
+        Ok(Number {
+            start,
+            negative,
+            int,
+            frac,
+            exp,
+            decimal,
+        })
+    }
+
+    fn digits(&mut self) {
+        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
+            self.pos += 1;
+        }
+    }
+
+    /// One or more digits, or an invalid-number error at `start`.
+    fn required_digits(&mut self, start: usize) -> Result<&'a [u8], Error> {
+        let bytes: &'a [u8] = self.bytes;
+        let from = self.pos;
+        self.digits();
+        if self.pos == from {
+            return Err(self.error_at(start, "invalid number"));
+        }
+        Ok(&bytes[from..self.pos])
+    }
+
+    /// Reads a string, unescaped. A string without escapes is borrowed from
+    /// the input.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, Error> {
+        if self.peek() != Some(b'"') {
+            return Err(self.expected("a string"));
+        }
+        self.pos += 1;
+        let mut owned: Option<String> = None;
+        loop {
+            let run = self.plain_run()?;
+            match self.bytes.get(self.pos) {
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(match owned {
+                        None => Cow::Borrowed(run),
+                        Some(mut s) => {
+                            s.push_str(run);
+                            Cow::Owned(s)
+                        }
+                    });
+                }
+                Some(b'\\') => {
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(run);
+                    self.pos += 1;
+                    let c = self.escape()?;
+                    out.push(c);
+                }
+                Some(_) => return Err(self.error("unescaped control character in string")),
+                None => return Err(self.error("unterminated string")),
+            }
+        }
+    }
+
+    /// The run of string bytes up to the next quote, backslash or control
+    /// character, checked to be UTF-8.
+    fn plain_run(&mut self) -> Result<&'a str, Error> {
+        let bytes: &'a [u8] = self.bytes;
+        let start = self.pos;
+        while let Some(&b) = bytes.get(self.pos) {
+            if b == b'"' || b == b'\\' || b < 0x20 {
+                break;
+            }
+            self.pos += 1;
+        }
+        std::str::from_utf8(&bytes[start..self.pos])
+            .map_err(|e| self.error_at(start + e.valid_up_to(), "invalid UTF-8 in string"))
+    }
+
+    /// The character of the escape after a backslash.
+    fn escape(&mut self) -> Result<char, Error> {
+        let at = self.pos;
+        let Some(&esc) = self.bytes.get(at) else {
+            return Err(self.error("unterminated escape"));
+        };
+        self.pos += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{0008}',
+            b'f' => '\u{000C}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                let hi = self.hex4()?;
+                let code = if (0xD800..0xDC00).contains(&hi) {
+                    // A high surrogate pairs with a following `\uDC00`..`\uDFFF`;
+                    // alone it becomes U+FFFD.
+                    if self.bytes[self.pos..].starts_with(b"\\u") {
+                        self.pos += 2;
+                        let lo = self.hex4()?;
+                        if !(0xDC00..0xE000).contains(&lo) {
+                            return Err(self.error_at(
+                                self.pos - 6,
+                                format_args!("invalid low surrogate `\\u{lo:04x}`"),
+                            ));
+                        }
+                        0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                    } else {
+                        0xFFFD
+                    }
+                } else {
+                    hi
+                };
+                char::from_u32(code).unwrap_or('\u{FFFD}')
+            }
+            other => {
+                return Err(self.error_at(
+                    at - 1,
+                    format_args!("invalid escape `\\{}`", char::from(other)),
+                ))
+            }
+        })
+    }
+
+    /// Exactly four hex digits of a `\u` escape.
+    fn hex4(&mut self) -> Result<u32, Error> {
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.error("truncated `\\u` escape"))?;
+        let code = digits.iter().try_fold(0, |code, &d| {
+            char::from(d)
+                .to_digit(16)
+                .map(|v| code * 16 + v)
+                .ok_or_else(|| self.error("invalid `\\u` escape"))
+        })?;
+        self.pos += 4;
+        Ok(code)
+    }
+
+    /// Reads and discards one value of any kind, checking its syntax.
+    pub fn skip_value(&mut self) -> Result<(), Error> {
+        match self.peek() {
+            Some(b'{') => {
+                self.begin_object()?;
+                while self.next_key()?.is_some() {
+                    self.skip_value()?;
+                }
+            }
+            Some(b'[') => {
+                self.begin_array()?;
+                while self.next_element()? {
+                    self.skip_value()?;
+                }
+            }
+            Some(b'"') => {
+                self.string()?;
+            }
+            Some(b't' | b'f') => {
+                self.bool()?;
+            }
+            Some(b'n') => self.literal(b"null")?,
+            _ => {
+                self.number("a value")?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Reads one value of any kind into a [`Value`] tree.
+    fn value(&mut self) -> Result<Value, Error> {
+        Ok(match self.peek() {
+            Some(b'{') => {
+                self.begin_object()?;
+                let mut fields = Vec::new();
+                while let Some(key) = self.next_key()? {
+                    fields.push((key.into_owned(), self.value()?));
+                }
+                Value::Object(fields)
+            }
+            Some(b'[') => Value::Array(seq(self)?),
+            Some(b'"') => Value::Str(self.string()?.into_owned()),
+            Some(b't' | b'f') => Value::Bool(self.bool()?),
+            Some(b'n') => {
+                self.literal(b"null")?;
+                Value::Null
+            }
+            _ => {
+                let number = self.number("a value")?;
+                let text = self.text(number.start);
+                let int = (!number.decimal).then(|| text.parse().ok()).flatten();
+                match int {
+                    Some(i) => Value::Int(i),
+                    None => Value::Float(
+                        text.parse()
+                            .map_err(|_| self.error_at(number.start, "invalid number"))?,
+                    ),
+                }
+            }
+        })
+    }
+}
+
 /// Types that can be written as JSON.
 pub trait Serialize {
     /// Appends `self` to `out`.
     fn serialize(&self, out: &mut JsonWriter<'_>);
 }
 
-/// Types that can be reconstructed from a [`Value`] tree.
+/// Types that can be read from JSON.
 pub trait Deserialize: Sized {
-    /// Reconstructs `Self` from a value tree.
-    fn from_value(v: &Value) -> Result<Self, Error>;
+    /// Reads one value of `Self` from `r`.
+    fn deserialize(r: &mut JsonReader<'_>) -> Result<Self, Error>;
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
@@ -366,8 +900,8 @@ impl Serialize for Value {
 }
 
 impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(v.clone())
+    fn deserialize(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+        r.value()
     }
 }
 
@@ -378,36 +912,28 @@ impl Serialize for bool {
 }
 
 impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(Error::custom("expected bool")),
-        }
+    fn deserialize(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+        r.bool()
     }
 }
 
 macro_rules! impl_int {
-    ($write:ident as $wide:ty: $($t:ty),*) => {$(
+    ($write:ident as $wide:ty, $read:ident: $($t:ty),*) => {$(
         impl Serialize for $t {
             fn serialize(&self, out: &mut JsonWriter<'_>) {
                 out.$write(*self as $wide);
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Int(i) => <$t>::try_from(*i)
-                        .map_err(|_| Error::custom(concat!("integer out of range for ", stringify!($t)))),
-                    Value::Float(f) if f.fract() == 0.0 => Ok(*f as $t),
-                    _ => Err(Error::custom(concat!("expected integer for ", stringify!($t)))),
-                }
+            fn deserialize(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+                r.$read(stringify!($t))
             }
         }
     )*};
 }
 
-impl_int!(u64 as u64: u8, u16, u32, u64, usize);
-impl_int!(i64 as i64: i8, i16, i32, i64, isize);
+impl_int!(u64 as u64, unsigned: u8, u16, u32, u64, usize);
+impl_int!(i64 as i64, signed: i8, i16, i32, i64, isize);
 
 macro_rules! impl_float {
     ($($t:ty),*) => {$(
@@ -417,14 +943,12 @@ macro_rules! impl_float {
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Float(f) => Ok(*f as $t),
-                    Value::Int(i) => Ok(*i as $t),
-                    // Non-finite floats serialize as JSON null.
-                    Value::Null => Ok(<$t>::NAN),
-                    _ => Err(Error::custom("expected number")),
+            fn deserialize(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+                // Non-finite floats serialize as JSON null.
+                if r.null()? {
+                    return Ok(<$t>::NAN);
                 }
+                r.f64().map(|f| f as $t)
             }
         }
     )*};
@@ -439,11 +963,8 @@ impl Serialize for String {
 }
 
 impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            _ => Err(Error::custom("expected string")),
-        }
+    fn deserialize(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+        r.string().map(Cow::into_owned)
     }
 }
 
@@ -460,10 +981,12 @@ impl Serialize for char {
 }
 
 impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            _ => Err(Error::custom("expected single-character string")),
+    fn deserialize(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+        let s = r.string()?;
+        let mut chars = s.chars();
+        match (chars.next(), chars.next()) {
+            (Some(c), None) => Ok(c),
+            _ => Err(r.error("expected a single-character string")),
         }
     }
 }
@@ -478,11 +1001,11 @@ impl<T: Serialize> Serialize for Option<T> {
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => Ok(Some(T::from_value(other)?)),
+    fn deserialize(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+        if r.null()? {
+            return Ok(None);
         }
+        T::deserialize(r).map(Some)
     }
 }
 
@@ -493,9 +1016,19 @@ impl<T: Serialize> Serialize for Box<T> {
 }
 
 impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(Box::new(T::from_value(v)?))
+    fn deserialize(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+        T::deserialize(r).map(Box::new)
     }
+}
+
+/// Reads an array into any collection of its elements.
+fn seq<T: Deserialize, C: Default + Extend<T>>(r: &mut JsonReader<'_>) -> Result<C, Error> {
+    let mut out = C::default();
+    r.begin_array()?;
+    while r.next_element()? {
+        out.extend(Some(T::deserialize(r)?));
+    }
+    Ok(out)
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
@@ -505,12 +1038,8 @@ impl<T: Serialize> Serialize for Vec<T> {
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_array()
-            .ok_or_else(|| Error::custom("expected array"))?
-            .iter()
-            .map(T::from_value)
-            .collect()
+    fn deserialize(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+        seq(r)
     }
 }
 
@@ -527,9 +1056,9 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
 }
 
 impl<T: Deserialize + std::fmt::Debug, const N: usize> Deserialize for [T; N] {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let items = Vec::<T>::from_value(v)?;
-        <[T; N]>::try_from(items).map_err(|_| Error::custom("wrong array length"))
+    fn deserialize(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+        let items = Vec::<T>::deserialize(r)?;
+        <[T; N]>::try_from(items).map_err(|_| r.error("wrong array length"))
     }
 }
 
@@ -540,12 +1069,8 @@ impl<T: Serialize + Ord> Serialize for BTreeSet<T> {
 }
 
 impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_array()
-            .ok_or_else(|| Error::custom("expected array"))?
-            .iter()
-            .map(T::from_value)
-            .collect()
+    fn deserialize(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+        seq(r)
     }
 }
 
@@ -556,12 +1081,8 @@ impl<T: Serialize + Eq + Hash, S: BuildHasher> Serialize for HashSet<T, S> {
 }
 
 impl<T: Deserialize + Eq + Hash, S: BuildHasher + Default> Deserialize for HashSet<T, S> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_array()
-            .ok_or_else(|| Error::custom("expected array"))?
-            .iter()
-            .map(T::from_value)
-            .collect()
+    fn deserialize(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+        seq(r)
     }
 }
 
@@ -572,12 +1093,8 @@ impl<T: Serialize> Serialize for VecDeque<T> {
 }
 
 impl<T: Deserialize> Deserialize for VecDeque<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_array()
-            .ok_or_else(|| Error::custom("expected array"))?
-            .iter()
-            .map(T::from_value)
-            .collect()
+    fn deserialize(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+        seq(r)
     }
 }
 
@@ -591,8 +1108,8 @@ impl<K: Serialize + Ord, V: Serialize> Serialize for BTreeMap<K, V> {
 }
 
 impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        map_pairs(v)?.collect()
+    fn deserialize(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+        seq::<(K, V), _>(r)
     }
 }
 
@@ -605,25 +1122,9 @@ impl<K: Serialize + Eq + Hash, V: Serialize, S: BuildHasher> Serialize for HashM
 impl<K: Deserialize + Eq + Hash, V: Deserialize, S: BuildHasher + Default> Deserialize
     for HashMap<K, V, S>
 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        map_pairs(v)?.collect()
+    fn deserialize(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+        seq::<(K, V), _>(r)
     }
-}
-
-/// Iterates the `[key, value]` pairs of a serialized map.
-fn map_pairs<'a, K: Deserialize, V: Deserialize>(
-    v: &'a Value,
-) -> Result<impl Iterator<Item = Result<(K, V), Error>> + 'a, Error> {
-    let items = v
-        .as_array()
-        .ok_or_else(|| Error::custom("expected array of pairs"))?;
-    Ok(items.iter().map(|pair| {
-        let pair = pair
-            .as_array()
-            .filter(|p| p.len() == 2)
-            .ok_or_else(|| Error::custom("expected [key, value] pair"))?;
-        Ok((K::from_value(&pair[0])?, V::from_value(&pair[1])?))
-    }))
 }
 
 macro_rules! impl_tuple {
@@ -636,13 +1137,11 @@ macro_rules! impl_tuple {
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let items = v.as_array().ok_or_else(|| Error::custom("expected tuple array"))?;
-                let expected = [$($idx),+].len();
-                if items.len() != expected {
-                    return Err(Error::custom("wrong tuple length"));
-                }
-                Ok(($($name::from_value(&items[$idx])?,)+))
+            fn deserialize(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+                r.begin_array()?;
+                let tuple = ($(r.element::<$name>("tuple")?,)+);
+                r.end_array("tuple")?;
+                Ok(tuple)
             }
         }
     )*};
@@ -662,14 +1161,21 @@ impl Serialize for () {
 }
 
 impl Deserialize for () {
-    fn from_value(_: &Value) -> Result<Self, Error> {
-        Ok(())
+    fn deserialize(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+        r.skip_value()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn decode<T: Deserialize>(json: &str) -> Result<T, Error> {
+        let mut r = JsonReader::new(json.as_bytes());
+        let value = T::deserialize(&mut r)?;
+        r.finish()?;
+        Ok(value)
+    }
 
     #[test]
     fn pretty_writer_starts_at_the_given_depth() {
@@ -682,29 +1188,136 @@ mod tests {
     }
 
     #[test]
-    fn primitives_deserialize_from_value_trees() {
-        let int = |i: i128| Value::Int(i);
-        assert_eq!(u64::from_value(&int(u64::MAX.into())).unwrap(), u64::MAX);
-        assert!(u32::from_value(&int(-1)).is_err());
-        assert_eq!(i64::from_value(&int(-7)).unwrap(), -7);
-        assert_eq!(String::from_value(&Value::Str("hi".into())).unwrap(), "hi");
-        assert_eq!(
-            Vec::<u32>::from_value(&Value::Array(vec![int(1), int(2)])).unwrap(),
-            vec![1, 2]
-        );
-        assert_eq!(Option::<u32>::from_value(&Value::Null).unwrap(), None);
-        assert!(f64::from_value(&Value::Null).unwrap().is_nan());
+    fn primitives_decode_straight_from_the_reader() {
+        assert_eq!(decode::<u64>("18446744073709551615").unwrap(), u64::MAX);
+        assert!(decode::<u32>("-1").is_err());
+        assert_eq!(decode::<i64>("-7").unwrap(), -7);
+        assert_eq!(decode::<String>(r#""hi""#).unwrap(), "hi");
+        assert_eq!(decode::<Vec<u32>>("[1, 2]").unwrap(), vec![1, 2]);
+        assert_eq!(decode::<Option<u32>>("null").unwrap(), None);
+        assert!(decode::<f64>("null").unwrap().is_nan());
     }
 
     #[test]
     fn maps_deserialize_from_key_value_pairs() {
-        let pair = |k: i128, v: &str| Value::Array(vec![Value::Int(k), Value::Str(v.into())]);
-        let tree = Value::Array(vec![pair(3, "three"), pair(7, "seven")]);
-        let back = BTreeMap::<u32, String>::from_value(&tree).unwrap();
+        let back = decode::<BTreeMap<u32, String>>(r#"[[3,"three"],[7,"seven"]]"#).unwrap();
         assert_eq!(
             back,
             BTreeMap::from([(3, "three".into()), (7, "seven".into())])
         );
-        assert!(BTreeMap::<u32, String>::from_value(&Value::Array(vec![Value::Int(1)])).is_err());
+        assert!(decode::<BTreeMap<u32, String>>("[[1]]").is_err());
+    }
+
+    #[test]
+    fn reader_walks_containers_and_skips_unwanted_values() {
+        let json = br#" { "a" : [1, {"x": [true, null, "s\n", -2.5e-3]}], "b\u0041": 9 } "#;
+        let mut r = JsonReader::new(json);
+        r.begin_object().unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("a"));
+        r.skip_value().unwrap();
+        let key = r.next_key().unwrap().unwrap();
+        assert!(matches!(key, Cow::Owned(_)), "an escaped key is unescaped");
+        assert_eq!(key, "bA");
+        assert_eq!(r.u64().unwrap(), 9);
+        assert_eq!(r.next_key().unwrap(), None);
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn integers_must_be_integral_and_in_range() {
+        assert!(decode::<u64>("18446744073709551616").is_err());
+        assert!(decode::<u8>("256").is_err());
+        assert!(decode::<i8>("-129").is_err());
+        assert!(decode::<u32>("1.5").is_err());
+        assert!(decode::<u32>("15e-1").is_err());
+        assert_eq!(decode::<u32>("2.50e1").unwrap(), 25);
+        assert_eq!(decode::<u32>("1000e-3").unwrap(), 1);
+        assert_eq!(decode::<u32>("0e-7").unwrap(), 0);
+        assert_eq!(decode::<u32>("-0").unwrap(), 0);
+        assert_eq!(decode::<i64>("-9223372036854775808").unwrap(), i64::MIN);
+        assert!(decode::<i64>("9223372036854775808").is_err());
+        assert_eq!(decode::<i8>("-1.28E+2").unwrap(), -128);
+        let err = decode::<u32>("[0]").map(drop).unwrap_err();
+        assert!(err.to_string().contains("at byte 0"), "{err}");
+        let err = decode::<Vec<u32>>("[1, 2.5]").unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("`2.5` is not an integer in the range of `u32` at byte 4"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_grammar() {
+        for bad in [
+            "01", "1.", "-", ".5", "+1", "1e", "1e+", "-a", "0x1", "1.e3",
+        ] {
+            assert!(decode::<f64>(bad).is_err(), "{bad:?} must be rejected");
+            assert!(decode::<Value>(bad).is_err(), "{bad:?} must be rejected");
+        }
+        assert_eq!(decode::<f64>("-0.5E-2").unwrap(), -0.005);
+        assert_eq!(decode::<f64>("7").unwrap(), 7.0);
+        assert_eq!(
+            decode::<Value>("[12, -1.5, 1e2, 340282366920938463463374607431768211456]").unwrap(),
+            Value::Array(vec![
+                Value::Int(12),
+                Value::Float(-1.5),
+                Value::Float(100.0),
+                Value::Float(340282366920938463463374607431768211456.0),
+            ])
+        );
+    }
+
+    #[test]
+    fn strings_reject_bad_escapes_and_raw_control_characters() {
+        assert!(decode::<String>(r#""\u-041""#).is_err());
+        assert!(decode::<String>(r#""\u04G1""#).is_err());
+        assert!(decode::<String>(r#""\u041""#).is_err());
+        assert!(decode::<String>(r#""\x""#).is_err());
+        assert!(decode::<String>("\"a\u{0}b\"").is_err());
+        assert!(decode::<String>("\"tab\there\"").is_err());
+        assert!(decode::<String>("\"line\nbreak\"").is_err());
+        assert_eq!(decode::<String>(r#""Aé""#).unwrap(), "Aé");
+        assert_eq!(decode::<String>("\"\u{7f}\"").unwrap(), "\u{7f}");
+    }
+
+    #[test]
+    fn invalid_utf8_inside_a_string_names_its_offset() {
+        let err = String::deserialize(&mut JsonReader::new(b"\"ab\xffc\"")).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("invalid UTF-8 in string at byte 3"),
+            "{err}"
+        );
+        let err = decode::<u32>("\u{e9}").unwrap_err();
+        assert!(err.to_string().contains("at byte 0"), "{err}");
+    }
+
+    #[test]
+    fn container_syntax_is_checked_even_when_skipped() {
+        for bad in [
+            "[1,]",
+            "[,1]",
+            "[1 2]",
+            "{\"a\":1,}",
+            "{,\"a\":1}",
+            "{\"a\" 1}",
+            "{1:2}",
+            "{\"a\":}",
+            "[1]]",
+            "[",
+            "{",
+            "[1,",
+            "nul",
+            "tru",
+            "[nullx]",
+        ] {
+            assert!(decode::<Value>(bad).is_err(), "{bad:?} must be rejected");
+            let mut r = JsonReader::new(bad.as_bytes());
+            let skipped = r.skip_value().and_then(|()| r.finish());
+            assert!(skipped.is_err(), "{bad:?} must be rejected when skipped");
+        }
+        assert_eq!(decode::<Value>(" [ ] ").unwrap(), Value::Array(vec![]));
+        assert_eq!(decode::<Value>("{ }").unwrap(), Value::Object(vec![]));
     }
 }

@@ -4,16 +4,19 @@
 //! shapes used in this workspace — named-field structs, tuple structs and
 //! enums (unit, newtype, tuple and struct variants) — without depending on
 //! `syn`/`quote` (the build environment is offline). The only recognized
-//! field attributes are `#[serde(skip)]` and `#[serde(default)]`; anything
-//! else is a compile error so that silent divergence from upstream serde
-//! semantics cannot creep in.
+//! field attributes are `#[serde(skip)]`, `#[serde(default)]` and
+//! `#[serde(deserialize_with = "path")]` (a `fn(&mut serde::JsonReader)
+//! -> Result<T, serde::Error>`); anything else is a compile error so that
+//! silent divergence from upstream serde semantics cannot creep in.
 //!
 //! `Serialize` impls write JSON text straight into the shim's
-//! `serde::JsonWriter`; `Deserialize` impls read the shim's `Value` tree.
-//! Serialized forms mirror upstream serde's JSON conventions: structs become
-//! objects, newtype structs are transparent, unit enum variants become
-//! strings, and data-carrying variants become externally tagged
-//! single-field objects.
+//! `serde::JsonWriter`; `Deserialize` impls pull each field straight out of
+//! the shim's `serde::JsonReader`, so no `serde::Value` tree is built on any
+//! decode. Serialized forms mirror upstream serde's JSON conventions:
+//! structs become objects, newtype structs are transparent, unit enum
+//! variants become strings, and data-carrying variants become externally
+//! tagged single-field objects. A struct decode ignores unknown fields and
+//! rejects a missing or repeated one.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -22,6 +25,7 @@ struct Field {
     name: String,
     skip: bool,
     default: bool,
+    deserialize_with: Option<String>,
 }
 
 /// One parsed enum variant.
@@ -76,6 +80,7 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
 struct AttrFlags {
     skip: bool,
     default: bool,
+    deserialize_with: Option<String>,
 }
 
 /// Consumes leading attributes (`#[...]`) from `tokens[*pos]`, returning the
@@ -99,14 +104,26 @@ fn take_attrs(tokens: &[TokenTree], pos: &mut usize) -> AttrFlags {
                 let Some(TokenTree::Group(args)) = inner.get(1) else {
                     panic!("malformed #[serde] attribute");
                 };
-                for arg in args.stream() {
+                let mut args = args.stream().into_iter();
+                while let Some(arg) = args.next() {
                     match arg {
                         TokenTree::Ident(flag) => match flag.to_string().as_str() {
                             "skip" => flags.skip = true,
                             "default" => flags.default = true,
+                            "deserialize_with" => {
+                                let path = match (args.next(), args.next()) {
+                                    (Some(TokenTree::Punct(eq)), Some(TokenTree::Literal(lit)))
+                                        if eq.as_char() == '=' =>
+                                    {
+                                        lit.to_string()
+                                    }
+                                    _ => panic!("expected #[serde(deserialize_with = \"path\")]"),
+                                };
+                                flags.deserialize_with = Some(path.trim_matches('"').to_string());
+                            }
                             other => panic!(
                                 "unsupported #[serde({other})] attribute (the vendored serde \
-                                 shim only understands `skip` and `default`)"
+                                 shim only understands `skip`, `default` and `deserialize_with`)"
                             ),
                         },
                         TokenTree::Punct(p) if p.as_char() == ',' => {}
@@ -179,6 +196,7 @@ fn parse_named_fields(body: TokenStream) -> Vec<Field> {
                 name: name.to_string(),
                 skip: flags.skip,
                 default: flags.default,
+                deserialize_with: flags.deserialize_with,
             }
         })
         .collect()
@@ -354,125 +372,145 @@ fn gen_field_writes(fields: &[Field], access: &str) -> String {
         .collect()
 }
 
-fn gen_named_field_inits(fields: &[Field], obj_expr: &str, type_name: &str) -> String {
-    fields
+/// A block that reads a JSON object from `__r` into `{ctor} {{ .. }}`:
+/// unknown keys are skipped, a repeated or missing (non-`default`) field is
+/// an error naming `type_name`, and skipped fields take their default.
+fn gen_object_decode(fields: &[Field], ctor: &str, type_name: &str) -> String {
+    let read: Vec<(usize, &Field)> = fields.iter().enumerate().filter(|(_, f)| !f.skip).collect();
+    let slots: String = read
         .iter()
-        .map(|f| {
+        .map(|(i, _)| format!("let mut __f{i} = ::core::option::Option::None;\n"))
+        .collect();
+    let arms: String = read
+        .iter()
+        .map(|(i, f)| {
+            let n = &f.name;
+            let value = match &f.deserialize_with {
+                Some(path) => format!("{path}(__r)?"),
+                None => "::serde::Deserialize::deserialize(__r)?".to_string(),
+            };
+            format!(
+                "\"{n}\" => {{\n\
+                     if __f{i}.is_some() {{\n\
+                         return ::core::result::Result::Err(__r.error(\"duplicate field `{n}` of `{type_name}`\"));\n\
+                     }}\n\
+                     __f{i} = ::core::option::Option::Some({value});\n\
+                 }}\n"
+            )
+        })
+        .collect();
+    let inits: String = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
             let n = &f.name;
             if f.skip {
-                format!("{n}: ::core::default::Default::default(),")
+                format!("{n}: ::core::default::Default::default(),\n")
             } else if f.default {
-                format!(
-                    "{n}: match {obj_expr}.get(\"{n}\") {{\n\
-                         Some(__v) => ::serde::Deserialize::from_value(__v)?,\n\
-                         None => ::core::default::Default::default(),\n\
-                     }},"
-                )
+                format!("{n}: __f{i}.unwrap_or_default(),\n")
             } else {
                 format!(
-                    "{n}: ::serde::Deserialize::from_value({obj_expr}.get(\"{n}\").ok_or_else(|| \
-                     ::serde::Error::custom(\"missing field `{n}` of `{type_name}`\"))?)?,"
+                    "{n}: match __f{i} {{\n\
+                         ::core::option::Option::Some(__x) => __x,\n\
+                         ::core::option::Option::None => return ::core::result::Result::Err(\
+                             __r.error(\"missing field `{n}` of `{type_name}`\")),\n\
+                     }},\n"
                 )
             }
         })
-        .collect::<Vec<_>>()
-        .join("\n")
+        .collect();
+    format!(
+        "{{\n{slots}\
+         __r.begin_object()?;\n\
+         while let ::core::option::Option::Some(__key) = __r.next_key()? {{\n\
+             match &*__key {{\n{arms}_ => __r.skip_value()?,\n}}\n\
+         }}\n\
+         {ctor} {{\n{inits}}}\n\
+         }}"
+    )
+}
+
+/// A block that reads a JSON array of exactly `n` elements from `__r` into
+/// `{ctor}(..)`.
+fn gen_tuple_decode(n: usize, ctor: &str) -> String {
+    let items: Vec<String> = (0..n)
+        .map(|_| format!("__r.element(\"{ctor}\")?"))
+        .collect();
+    format!(
+        "{{\n\
+             __r.begin_array()?;\n\
+             let __value = {ctor}({items});\n\
+             __r.end_array(\"{ctor}\")?;\n\
+             __value\n\
+         }}",
+        items = items.join(", ")
+    )
 }
 
 fn gen_deserialize(input: &Input) -> String {
     let name = &input.name;
     let body = match &input.kind {
         InputKind::NamedStruct(fields) => {
-            let inits = gen_named_field_inits(fields, "__v", name);
-            format!(
-                "if __v.as_object().is_none() {{\n\
-                     return Err(::serde::Error::custom(\"expected object for `{name}`\"));\n\
-                 }}\n\
-                 Ok({name} {{\n{inits}\n}})"
-            )
+            format!("Ok({})", gen_object_decode(fields, name, name))
         }
         InputKind::TupleStruct(1) => {
-            format!("Ok({name}(::serde::Deserialize::from_value(__v)?))")
+            format!("Ok({name}(::serde::Deserialize::deserialize(__r)?))")
         }
-        InputKind::TupleStruct(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Deserialize::from_value(&__items[{i}])?"))
-                .collect();
-            format!(
-                "let __items = __v.as_array().ok_or_else(|| ::serde::Error::custom(\"expected array for `{name}`\"))?;\n\
-                 if __items.len() != {n} {{\n\
-                     return Err(::serde::Error::custom(\"wrong arity for `{name}`\"));\n\
-                 }}\n\
-                 Ok({name}({items}))",
-                items = items.join(", ")
-            )
-        }
-        InputKind::UnitStruct => format!("Ok({name})"),
+        InputKind::TupleStruct(n) => format!("Ok({})", gen_tuple_decode(*n, name)),
+        InputKind::UnitStruct => format!("__r.skip_value()?;\nOk({name})"),
         InputKind::Enum(variants) => {
-            let unit_arms: Vec<String> = variants
+            let unknown =
+                format!("::core::result::Result::Err(__r.error(\"unknown variant of `{name}`\"))");
+            let unit_arms: String = variants
                 .iter()
                 .filter(|v| matches!(v.kind, VariantKind::Unit))
-                .map(|v| format!("\"{vn}\" => return Ok({name}::{vn}),", vn = v.name))
+                .map(|v| format!("\"{vn}\" => Ok({name}::{vn}),\n", vn = v.name))
                 .collect();
-            let tagged_arms: Vec<String> = variants
+            let tagged_arms: String = variants
                 .iter()
                 .filter_map(|v| {
-                    let vn = &v.name;
-                    match &v.kind {
-                        VariantKind::Unit => None,
-                        VariantKind::Tuple(1) => Some(format!(
-                            "\"{vn}\" => return Ok({name}::{vn}(::serde::Deserialize::from_value(__payload)?)),"
-                        )),
-                        VariantKind::Tuple(n) => {
-                            let items: Vec<String> = (0..*n)
-                                .map(|i| format!("::serde::Deserialize::from_value(&__items[{i}])?"))
-                                .collect();
-                            Some(format!(
-                                "\"{vn}\" => {{\n\
-                                     let __items = __payload.as_array().ok_or_else(|| ::serde::Error::custom(\"expected array payload for `{name}::{vn}`\"))?;\n\
-                                     if __items.len() != {n} {{\n\
-                                         return Err(::serde::Error::custom(\"wrong arity for `{name}::{vn}`\"));\n\
-                                     }}\n\
-                                     return Ok({name}::{vn}({items}));\n\
-                                 }}",
-                                items = items.join(", ")
-                            ))
+                    let path = format!("{name}::{}", v.name);
+                    let value = match &v.kind {
+                        VariantKind::Unit => return None,
+                        VariantKind::Tuple(1) => {
+                            format!("{path}(::serde::Deserialize::deserialize(__r)?)")
                         }
-                        VariantKind::Struct(fields) => {
-                            let inits = gen_named_field_inits(fields, "__payload", name);
-                            Some(format!(
-                                "\"{vn}\" => {{\n\
-                                     return Ok({name}::{vn} {{\n{inits}\n}});\n\
-                                 }}"
-                            ))
-                        }
-                    }
+                        VariantKind::Tuple(n) => gen_tuple_decode(*n, &path),
+                        VariantKind::Struct(fields) => gen_object_decode(fields, &path, name),
+                    };
+                    Some(format!("\"{}\" => {value},\n", v.name))
                 })
                 .collect();
-            format!(
-                "match __v {{\n\
-                     ::serde::Value::Str(__s) => match __s.as_str() {{\n\
-                         {unit_arms}\n\
-                         _ => {{}}\n\
-                     }},\n\
-                     ::serde::Value::Object(__fields) if __fields.len() == 1 => {{\n\
-                         let (__tag, __payload) = &__fields[0];\n\
-                         match __tag.as_str() {{\n\
-                             {tagged_arms}\n\
-                             _ => {{}}\n\
+            // Unit variants are strings; data variants `{"Variant": payload}`.
+            let string_arm = format!(
+                "::core::option::Option::Some(b'\"') => {{\n\
+                     let __tag = __r.string()?;\n\
+                     match &*__tag {{\n{unit_arms}_ => {unknown},\n}}\n\
+                 }}\n"
+            );
+            let object_arm = if tagged_arms.is_empty() {
+                format!("_ => {unknown},\n")
+            } else {
+                format!(
+                    "_ => {{\n\
+                         __r.begin_object()?;\n\
+                         let ::core::option::Option::Some(__tag) = __r.next_key()? else {{\n\
+                             return {unknown};\n\
+                         }};\n\
+                         let __value = match &*__tag {{\n{tagged_arms}_ => return {unknown},\n}};\n\
+                         if __r.next_key()?.is_some() {{\n\
+                             return ::core::result::Result::Err(__r.error(\"expected a single-key object for `{name}`\"));\n\
                          }}\n\
-                     }}\n\
-                     _ => {{}}\n\
-                 }}\n\
-                 Err(::serde::Error::custom(\"unknown variant of `{name}`\"))",
-                unit_arms = unit_arms.join("\n"),
-                tagged_arms = tagged_arms.join("\n")
-            )
+                         Ok(__value)\n\
+                     }}\n"
+                )
+            };
+            format!("match __r.peek() {{\n{string_arm}{object_arm}}}")
         }
     };
     format!(
         "impl ::serde::Deserialize for {name} {{\n\
-            fn from_value(__v: &::serde::Value) -> ::core::result::Result<Self, ::serde::Error> {{\n{body}\n}}\n\
+            fn deserialize(__r: &mut ::serde::JsonReader<'_>) -> ::core::result::Result<Self, ::serde::Error> {{\n{body}\n}}\n\
          }}"
     )
 }

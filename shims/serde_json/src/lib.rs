@@ -4,15 +4,17 @@
 //! [`to_string_pretty`], [`to_vec`], [`to_vec_pretty`], [`write_pretty_at`],
 //! [`from_str`] and [`from_slice`]. The `to_*` functions are thin wrappers
 //! over [`serde::JsonWriter`], which every `Serialize` impl writes JSON text
-//! into directly; parsing builds a [`Value`] tree that `Deserialize` impls
-//! read. Output is valid JSON; integers round-trip exactly (including
+//! into directly; `from_str` and `from_slice` hand a [`serde::JsonReader`]
+//! over the input to `T`'s `Deserialize` impl, which pulls its fields out
+//! of it directly, so no [`Value`] tree is built on any decode of a typed
+//! value. Output is valid JSON; integers round-trip exactly (including
 //! `u64`), floats use Rust's shortest round-trippable formatting, and
 //! non-finite floats serialize as `null` (deserializing back to `NaN`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use serde::{Error, JsonWriter, Value};
+pub use serde::{Error, JsonReader, JsonWriter, Value};
 
 /// Serializes `value` as a compact JSON string.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
@@ -51,254 +53,16 @@ fn into_string(bytes: Vec<u8>) -> Result<String, Error> {
 
 /// Parses a value of type `T` from a JSON string.
 pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
-    let value = parse_value(s)?;
-    T::from_value(&value)
+    from_slice(s.as_bytes())
 }
 
-/// Parses a value of type `T` from JSON bytes.
+/// Parses a value of type `T` from JSON bytes. UTF-8 is checked inside
+/// strings only: anywhere else a non-ASCII byte is a syntax error anyway.
 pub fn from_slice<T: serde::Deserialize>(bytes: &[u8]) -> Result<T, Error> {
-    let s = std::str::from_utf8(bytes).map_err(|e| Error::custom(format!("invalid UTF-8: {e}")))?;
-    from_str(s)
-}
-
-// ---------------------------------------------------------------------------
-// Parser
-// ---------------------------------------------------------------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-fn parse_value(s: &str) -> Result<Value, Error> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::custom("trailing characters after JSON value"));
-    }
-    Ok(v)
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::custom(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, Error> {
-        match self.peek() {
-            None => Err(Error::custom("unexpected end of JSON input")),
-            Some(b'n') if self.eat_literal("null") => Ok(Value::Null),
-            Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            Some(b) => Err(Error::custom(format!(
-                "unexpected character `{}` at byte {}",
-                b as char, self.pos
-            ))),
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(Error::custom("expected `,` or `]` in array")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                _ => return Err(Error::custom("expected `,` or `}` in object")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            // Copy unescaped runs wholesale.
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|e| Error::custom(format!("invalid UTF-8 in string: {e}")))?,
-            );
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| Error::custom("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair.
-                                if self.eat_literal("\\u") {
-                                    let lo = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&lo) {
-                                        return Err(Error::custom(format!(
-                                            "invalid low surrogate `\\u{lo:04x}` before byte {}",
-                                            self.pos
-                                        )));
-                                    }
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                                } else {
-                                    0xFFFD
-                                }
-                            } else {
-                                hi
-                            };
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        other => {
-                            return Err(Error::custom(format!(
-                                "invalid escape `\\{}`",
-                                other as char
-                            )))
-                        }
-                    }
-                }
-                _ => return Err(Error::custom("unterminated string")),
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, Error> {
-        let end = self.pos + 4;
-        let hex = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or_else(|| Error::custom("truncated \\u escape"))?;
-        let s = std::str::from_utf8(hex).map_err(|_| Error::custom("invalid \\u escape"))?;
-        let code = u32::from_str_radix(s, 16).map_err(|_| Error::custom("invalid \\u escape"))?;
-        self.pos = end;
-        Ok(code)
-    }
-
-    fn number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::custom("invalid number"))?;
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| Error::custom(format!("invalid number `{text}`")))
-        } else {
-            text.parse::<i128>()
-                .map(Value::Int)
-                .or_else(|_| text.parse::<f64>().map(Value::Float))
-                .map_err(|_| Error::custom(format!("invalid number `{text}`")))
-        }
-    }
+    let mut reader = JsonReader::new(bytes);
+    let value = T::deserialize(&mut reader)?;
+    reader.finish()?;
+    Ok(value)
 }
 
 #[cfg(test)]
@@ -372,6 +136,36 @@ mod tests {
         assert!(from_str::<String>(r#""\ud800\u0041""#).is_err());
         assert!(from_str::<String>(r#""\ud800\ud800""#).is_err());
         assert!(from_str::<String>(r#""\udbff\ue000""#).is_err());
+    }
+
+    #[test]
+    fn fractional_or_out_of_range_numbers_are_not_integers() {
+        assert!(from_str::<u32>("-1.0").is_err());
+        assert!(from_str::<u32>("1e30").is_err());
+        assert!(from_str::<u64>("1234567890123456789012345678901234567890123").is_err());
+        assert!(from_str::<u32>("0.5").is_err());
+        assert_eq!(from_str::<u32>("1e3").unwrap(), 1000);
+        for bad in ["01", "1.", "-"] {
+            assert!(from_str::<u32>(bad).is_err(), "{bad:?} must be rejected");
+            assert!(from_str::<f64>(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_take_four_hex_digits_and_control_characters_are_escaped() {
+        assert!(from_str::<String>(r#""\u+041""#).is_err());
+        assert_eq!(from_str::<String>(r#""\u0041""#).unwrap(), "A");
+        assert!(from_str::<String>("\"a\u{1}b\"").is_err());
+        assert!(from_str::<String>("\"a\u{1f}\"").is_err());
+        assert_eq!(from_str::<String>(r#""a\u001fb""#).unwrap(), "a\u{1f}b");
+    }
+
+    #[test]
+    fn from_slice_checks_utf8_inside_strings() {
+        assert_eq!(from_slice::<String>("\"é\"".as_bytes()).unwrap(), "é");
+        assert!(from_slice::<String>(b"\"\xc3\"").is_err());
+        assert!(from_slice::<Vec<u32>>(b"[1,\xff]").is_err());
+        assert_eq!(from_slice::<Vec<u32>>(b" [1, 2]\n").unwrap(), vec![1, 2]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Golden JSON renderings of the serde shim's writer.
+//! Golden JSON renderings of the serde shim's writer, and their decoding.
 //!
 //! The expected strings were captured from the earlier serializer, which
 //! built a `serde::Value` tree and rendered it; the direct writer must
@@ -7,13 +7,22 @@
 //! renderer: empty containers, skipped fields, every enum variant shape,
 //! maps as `[key, value]` pairs, string escapes, float and integer edge
 //! values, and a nested joint cluster node of the published forest.
+//!
+//! The same strings pin the pull decoder: each decodes back to its value
+//! from both forms, every proper prefix of a publication is an error (never
+//! a panic), and `from_slice` agrees with `from_str` on a real publication.
 
-use disassociation::{Cluster, ClusterNode, JointCluster, RecordChunk, SharedChunk, TermChunk};
-use serde::{Serialize, Value};
+use datagen::{QuestConfig, QuestGenerator};
+use disassociation::pipeline::{DatasetSource, JsonChunksSink, Pipeline};
+use disassociation::{
+    Cluster, ClusterNode, DisassociatedDataset, DisassociationConfig, Disassociator, JointCluster,
+    RecordChunk, SharedChunk, TermChunk,
+};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use transact::{Record, TermId};
 
-#[derive(Serialize)]
+#[derive(Debug, Serialize, Deserialize)]
 struct WithSkip {
     kept: u32,
     #[serde(skip)]
@@ -22,20 +31,20 @@ struct WithSkip {
     tail: Vec<u32>,
 }
 
-#[derive(Serialize)]
+#[derive(Debug, Serialize, Deserialize)]
 struct OnlySkipped {
     #[serde(skip)]
     #[allow(dead_code)]
     hidden: u32,
 }
 
-#[derive(Serialize)]
+#[derive(Debug, Serialize, Deserialize)]
 struct Newtype(u64);
 
-#[derive(Serialize)]
+#[derive(Debug, Serialize, Deserialize)]
 struct Pair(u8, String);
 
-#[derive(Serialize)]
+#[derive(Debug, Serialize, Deserialize)]
 #[allow(dead_code)]
 enum Shape {
     Unit,
@@ -488,4 +497,172 @@ fn depth_two_rendering_is_the_reindented_pretty_form() {
         String::from_utf8(out).unwrap(),
         pretty.replace('\n', "\n    ")
     );
+}
+
+/// Decodes a golden text of case `name` as `T` and compares its `Debug`
+/// rendering with `expected`'s (so a NaN matches a NaN).
+fn assert_decodes<T: Deserialize + std::fmt::Debug>(name: &str, expected: T) {
+    let (_, pretty, compact) = GOLDEN
+        .iter()
+        .find(|(golden, _, _)| *golden == name)
+        .unwrap_or_else(|| panic!("no golden case `{name}`"));
+    for text in [pretty, compact] {
+        let back: T = serde_json::from_str(text).unwrap_or_else(|e| panic!("`{name}`: {e}"));
+        assert_eq!(
+            format!("{back:?}"),
+            format!("{expected:?}"),
+            "`{name}` from {text}"
+        );
+    }
+}
+
+#[test]
+fn every_golden_case_decodes_back_to_its_value_from_both_forms() {
+    let mut decoded = Vec::new();
+    macro_rules! decodes {
+        ($name:expr, $value:expr) => {{
+            assert_decodes($name, $value);
+            decoded.push($name);
+        }};
+    }
+    decodes!("empty_array", Vec::<u32>::new());
+    decodes!("empty_object", Value::Object(vec![]));
+    // Skipped fields are not written, so they decode to their default.
+    decodes!("only_skipped_fields", OnlySkipped { hidden: 0 });
+    decodes!(
+        "skip_field",
+        WithSkip {
+            kept: 7,
+            skipped: vec![],
+            tail: vec![3, 4]
+        }
+    );
+    decodes!("newtype_struct", Newtype(42));
+    decodes!("tuple_struct", Pair(3, "three".to_string()));
+    decodes!("unit_variant", Shape::Unit);
+    decodes!("newtype_variant", Shape::Newtype(5));
+    decodes!("tuple_variant", Shape::Tuple(6, "six".to_string()));
+    decodes!(
+        "struct_variant",
+        Shape::Struct {
+            x: -3,
+            hidden: 0,
+            ys: vec![]
+        }
+    );
+    decodes!("empty_struct_variant", Shape::EmptyStruct {});
+    decodes!(
+        "btreemap_u32",
+        BTreeMap::from([(3u32, "three".to_string()), (7, "seven".to_string())])
+    );
+    decodes!("empty_btreemap", BTreeMap::<u32, Vec<u32>>::new());
+    decodes!(
+        "escapes",
+        "q\"b\\s/\n\r\t\u{1f}\u{8}\u{c}\u{0}\u{7f}é😀".to_string()
+    );
+    decodes!("char", 'é');
+    // Non-finite floats are written as `null`, which decodes to NaN.
+    decodes!(
+        "floats",
+        vec![1.0f64, 1e300, f64::NAN, f64::NAN, -0.0, 0.5, 1e-7, -2.25]
+    );
+    decodes!("f32", 0.1f32);
+    decodes!("u64_max", u64::MAX);
+    decodes!("i64_min", i64::MIN);
+    decodes!("small_ints", (0usize, -1i8, 255u8, (i32::MAX, isize::MIN)));
+    decodes!("option", vec![None, Some(1u16)]);
+    decodes!("unit", ());
+    decodes!("bool", (true, false));
+    decodes!(
+        "value_tree",
+        Value::Array(vec![
+            Value::Null,
+            Value::Bool(true),
+            Value::Int(u64::MAX as i128),
+            Value::Int(-(1i128 << 100)),
+            Value::Float(2.0),
+            Value::Str("s".to_string()),
+            Value::Object(vec![
+                ("a".to_string(), Value::Array(vec![])),
+                (
+                    "b".to_string(),
+                    Value::Object(vec![("c".to_string(), Value::Int(1))])
+                ),
+            ]),
+        ])
+    );
+    decodes!("joint_cluster_node", joint_node());
+    let golden: Vec<&str> = GOLDEN.iter().map(|(name, _, _)| *name).collect();
+    assert_eq!(decoded, golden, "every golden case is decoded");
+}
+
+fn small_publication() -> DisassociatedDataset {
+    let dataset = QuestGenerator::generate_with(QuestConfig {
+        num_transactions: 40,
+        domain_size: 30,
+        avg_transaction_len: 4.0,
+        seed: 3,
+        ..QuestConfig::default()
+    });
+    let config = DisassociationConfig {
+        k: 3,
+        m: 2,
+        ..Default::default()
+    };
+    Disassociator::try_new(config)
+        .expect("valid disassociation configuration")
+        .anonymize(&dataset)
+        .dataset
+}
+
+#[test]
+fn every_proper_prefix_of_a_publication_is_an_error() {
+    let published = small_publication();
+    assert!(!published.clusters.is_empty());
+    for text in [
+        serde_json::to_vec_pretty(&published).unwrap(),
+        serde_json::to_vec(&published).unwrap(),
+    ] {
+        assert_eq!(
+            serde_json::from_slice::<DisassociatedDataset>(&text).unwrap(),
+            published
+        );
+        for end in 0..text.len() {
+            let prefix = serde_json::from_slice::<DisassociatedDataset>(&text[..end]);
+            assert!(prefix.is_err(), "a {end}-byte prefix decoded");
+        }
+    }
+}
+
+#[test]
+fn from_slice_equals_from_str_on_a_published_file() {
+    let dataset = QuestGenerator::generate_with(QuestConfig {
+        num_transactions: 600,
+        domain_size: 150,
+        avg_transaction_len: 6.0,
+        seed: 5,
+        ..QuestConfig::default()
+    });
+    let config = DisassociationConfig {
+        k: 4,
+        m: 2,
+        ..Default::default()
+    };
+    let path = std::env::temp_dir().join(format!(
+        "json_golden_publication_{}.chunks.json",
+        std::process::id()
+    ));
+    let mut sink = JsonChunksSink::create(&path, &config).unwrap();
+    Pipeline::new(config)
+        .source(&mut DatasetSource::new(&dataset, 128))
+        .sink(&mut sink)
+        .run()
+        .unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let from_slice: DisassociatedDataset = serde_json::from_slice(&bytes).unwrap();
+    let from_str: DisassociatedDataset =
+        serde_json::from_str(std::str::from_utf8(&bytes).unwrap()).unwrap();
+    assert_eq!(from_slice, from_str);
+    assert_eq!(from_slice.total_records(), dataset.len());
 }
