@@ -27,7 +27,7 @@
 
 use datagen::{QuestConfig, QuestGenerator, RealDataset};
 use disassoc_obs::trace::Attr;
-use disassoc_store::publish::AppendJob;
+use disassoc_store::publish::{AppendJob, DEFAULT_BATCH_SIZE};
 use disassoc_store::{ChunkDir, Store, StoreConfig};
 use disassociation::pipeline::{
     ChunkSink, CollectSink, DatasetSource, Pipeline, ReaderSource, RecordSource, RunSummary,
@@ -82,7 +82,7 @@ pub enum Command {
         max_cluster_size: usize,
         /// Disable the refining step.
         no_refine: bool,
-        /// Batches anonymized concurrently (1 = one thread, 0 = one per core).
+        /// Batches anonymized concurrently (1 = one worker, 0 = one per core).
         threads: usize,
         /// Output prefix (writes `<prefix>.chunks.json`).
         out_prefix: PathBuf,
@@ -158,7 +158,7 @@ pub enum Command {
         k: usize,
         /// Privacy parameter m.
         m: usize,
-        /// Batches anonymized concurrently (1 = one thread, 0 = one per core).
+        /// Batches anonymized concurrently (1 = one worker, 0 = one per core).
         threads: usize,
         /// Observability: metrics snapshot / trace / profile summary.
         obs: ObsOptions,
@@ -403,7 +403,7 @@ USAGE:
 Store-backed runs stream the dataset in batches (out-of-core anonymization):
 `--batch-size 0` keeps file input monolithic and selects the default batch
 (8192 records) for store input.  `--threads N` anonymizes up to N batches
-concurrently (default 1 = one thread, 0 = one per core) with byte-identical
+concurrently (default 1 worker, 0 = one per core) with byte-identical
 output; it is the run's only parallelism.  The chunk
 file is streamed to disk batch by batch, so neither input nor output
 residency grows with the dataset.
@@ -442,9 +442,6 @@ Exit status: 2 for usage errors (bad flags or privacy parameters), 1 for
 runtime failures (I/O, corrupt store, failed pipeline) — printed with their
 full `caused by:` chain.
 ";
-
-/// Default batch size for store-backed streaming runs.
-pub const DEFAULT_STORE_BATCH: usize = 8192;
 
 /// The flags each subcommand accepts (space-separated, without the leading
 /// `--`); any other flag is a usage error, so a misspelt option cannot
@@ -753,12 +750,14 @@ impl Command {
                 // after the source opened, so a missing input leaves no
                 // stray output at all.
                 let result = with_source(input.as_deref(), store.as_deref(), *batch_size, |src| {
-                    disassoc_store::publish::publish_flat_file(&chunks_path, &config, |sink| {
-                        let summary = run_pipeline(&config, src, sink, *threads)?;
-                        Ok((summary, *sink.stats()))
-                    })
+                    disassoc_store::publish::publish_flat_file(
+                        &chunks_path,
+                        &config,
+                        None,
+                        |sink| run_pipeline(&config, src, sink, *threads),
+                    )
                 });
-                let (summary, stats) = match result {
+                let summary = match result {
                     Ok(done) => done,
                     Err(e) => {
                         session.abort();
@@ -769,20 +768,20 @@ impl Command {
                     out,
                     "anonymized {} records into {} simple clusters ({} record chunks, {} shared chunks) in {:.2}s",
                     summary.records,
-                    stats.simple_clusters,
-                    stats.record_chunks,
-                    stats.shared_chunks,
-                    stats.total_seconds()
+                    summary.simple_clusters,
+                    summary.record_chunks,
+                    summary.shared_chunks,
+                    summary.total_seconds()
                 )?;
-                if !stats.refine_converged {
+                if !summary.refine_converged {
                     disassoc_obs::warn(
                         disassoc_obs::names::WARN_REFINE_PASS_CAP,
                         &format!(
                             "refining hit its pass limit after {} passes without converging; \
                              the publication is valid but further joint clusters may have been possible",
-                            stats.refine_passes
+                            summary.refine_passes
                         ),
-                        &[("passes", Attr::U64(stats.refine_passes as u64))],
+                        &[("passes", Attr::U64(summary.refine_passes as u64))],
                     );
                 }
                 writeln!(out, "published chunks: {}", chunks_path.display())?;
@@ -837,11 +836,7 @@ impl Command {
                             options: AppendOptions {
                                 max_dirty_fraction: *max_dirty_fraction,
                             },
-                            batch_size: if *batch_size == 0 {
-                                DEFAULT_STORE_BATCH
-                            } else {
-                                *batch_size
-                            },
+                            batch_size: store_batch_size(*batch_size),
                             threads: 1,
                         };
                         let appended = job.run::<CliError>(
@@ -1039,7 +1034,7 @@ impl Command {
                         (None, Some(dir)) => {
                             let st = open_existing_store(dir)?;
                             let mut records: Vec<Record> = Vec::new();
-                            let mut source = st.source(DEFAULT_STORE_BATCH);
+                            let mut source = st.source(DEFAULT_BATCH_SIZE);
                             while let Some(batch) = source.next_batch()? {
                                 records.extend(batch);
                             }
@@ -1051,8 +1046,8 @@ impl Command {
                     // describe the publication `anonymize` would actually
                     // write: 0 = monolithic for file input, default batch for
                     // store.
-                    let effective_batch = if store.is_some() && *batch_size == 0 {
-                        DEFAULT_STORE_BATCH
+                    let effective_batch = if store.is_some() {
+                        store_batch_size(*batch_size)
                     } else {
                         *batch_size
                     };
@@ -1125,7 +1120,7 @@ fn run_pipeline(
 /// Builds the [`RecordSource`] matching the `--input FILE` / `--store DIR`
 /// choice and hands it to `f`: file input streams through [`ReaderSource`]
 /// (`batch_size == 0` = one monolithic batch, the historical behaviour),
-/// store input through [`Store::source`] (`0` = [`DEFAULT_STORE_BATCH`]).
+/// store input through [`Store::source`] (see [`store_batch_size`]).
 /// Identical record sequences with identical batch sizes publish
 /// byte-identical datasets regardless of source.
 fn with_source<T>(
@@ -1141,17 +1136,22 @@ fn with_source<T>(
         }
         (None, Some(dir)) => {
             let st = open_existing_store(dir)?;
-            let size = if batch_size == 0 {
-                DEFAULT_STORE_BATCH
-            } else {
-                batch_size
-            };
-            let mut source = st.source(size);
+            let mut source = st.source(store_batch_size(batch_size));
             f(&mut source)
         }
         (None, None) => Err(CliError::Usage(
             "one of --input or --store is required".into(),
         )),
+    }
+}
+
+/// The pipeline batch size of a store-backed run: `--batch-size 0` selects
+/// [`DEFAULT_BATCH_SIZE`], the daemon's default too.
+fn store_batch_size(batch_size: usize) -> usize {
+    if batch_size == 0 {
+        DEFAULT_BATCH_SIZE
+    } else {
+        batch_size
     }
 }
 

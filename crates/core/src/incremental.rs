@@ -589,7 +589,7 @@ impl IncrementalPipeline {
     /// Runs the full batched anonymization over `source`, retaining
     /// per-batch state: `Pipeline::new(config).source(source)`
     /// [`.build_incremental()`](crate::pipeline::Pipeline::build_incremental)
-    /// on one thread.
+    /// on one worker thread.
     pub fn build<S: RecordSource + ?Sized>(
         config: DisassociationConfig,
         mut source: &mut S,

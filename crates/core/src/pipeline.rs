@@ -7,14 +7,17 @@
 //!   (file parse errors, store corruption) — failures are typed
 //!   ([`SourceError`]) and abort the run;
 //! * the [`Pipeline`] anonymizes each batch independently (HorPart, VerPart,
-//!   Refine — see [`crate::Disassociator`]), optionally on a bounded worker
-//!   pool ([`Pipeline::threads`]);
+//!   Refine — see [`crate::Disassociator`]) on a bounded pool of
+//!   [`Pipeline::threads`] workers, while the calling thread pulls the
+//!   source and feeds the sink;
 //! * a [`ChunkSink`] receives every finished [`BatchOutput`] **in batch
 //!   order** (regardless of worker completion order) and may itself fail
 //!   ([`SinkError`]), also aborting the run.
 //!
 //! Peak original-record residency is bounded by the batch size times the
-//! number of in-flight batches (≤ `2 × threads`), never the dataset size;
+//! number of live batches (fewer than `2 × threads`: queued, running or
+//! waiting for their turn at the sink; one for a single worker), never the
+//! dataset size;
 //! with a streaming sink such as [`JsonChunksSink`] the published output is
 //! written out incrementally too, so both sides of the run are out-of-core.
 //!
@@ -46,6 +49,7 @@
 //!
 //! assert_eq!(summary.records, 30);
 //! assert_eq!(summary.batches, 3);
+//! assert!(summary.simple_clusters > 0);
 //! assert_eq!(sink.into_output().dataset.total_records(), 30);
 //! # Ok(())
 //! # }
@@ -130,8 +134,8 @@ pub struct BatchOutput {
     pub output: DisassociationOutput,
 }
 
-/// Counters describing a finished pipeline run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Totals of a finished pipeline run: what was read and what was published.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunSummary {
     /// Batches processed.
     pub batches: usize,
@@ -140,6 +144,54 @@ pub struct RunSummary {
     /// Largest single batch seen (the per-batch bound on original-record
     /// residency).
     pub peak_batch_records: usize,
+    /// Simple clusters published.
+    pub simple_clusters: usize,
+    /// Record chunks published.
+    pub record_chunks: usize,
+    /// Shared chunks published.
+    pub shared_chunks: usize,
+    /// Summed per-phase seconds across batches.
+    pub phases: PhaseTimings,
+    /// Highest refining pass count any batch used.
+    pub refine_passes: usize,
+    /// Whether every batch's refining step converged before its pass limit.
+    pub refine_converged: bool,
+}
+
+impl Default for RunSummary {
+    fn default() -> Self {
+        RunSummary {
+            batches: 0,
+            records: 0,
+            peak_batch_records: 0,
+            simple_clusters: 0,
+            record_chunks: 0,
+            shared_chunks: 0,
+            phases: PhaseTimings::default(),
+            refine_passes: 0,
+            // An empty run trivially converged.
+            refine_converged: true,
+        }
+    }
+}
+
+impl RunSummary {
+    /// Total anonymization time in seconds (sum over phases and batches).
+    pub fn total_seconds(&self) -> f64 {
+        self.phases.total()
+    }
+
+    /// Folds one batch's publication and telemetry into the totals: the one
+    /// accumulator behind [`Pipeline::run`]'s summary and [`CollectSink`].
+    fn add_output(&mut self, output: &DisassociationOutput) {
+        let dataset = &output.dataset;
+        self.simple_clusters += dataset.simple_clusters().len();
+        self.record_chunks += dataset.num_record_chunks();
+        self.shared_chunks += dataset.shared_chunks().len();
+        self.phases.accumulate(output.phases);
+        self.refine_passes = self.refine_passes.max(output.refine_passes);
+        self.refine_converged &= output.refine_converged;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -311,7 +363,7 @@ impl<R: BufRead> RecordSource for ReaderSource<R> {
 
 /// Collects every batch into one combined [`DisassociationOutput`]: cluster
 /// nodes concatenated in stream order, assignment indices rebased to
-/// stream-wide ordinals, phase timings summed.
+/// stream-wide ordinals, telemetry folded as in [`RunSummary`].
 ///
 /// The combined output is exactly what the monolithic
 /// [`Disassociator::anonymize`] produces when the whole stream fits one
@@ -323,9 +375,7 @@ pub struct CollectSink {
     m: usize,
     clusters: Vec<ClusterNode>,
     cluster_assignment: Vec<Vec<usize>>,
-    phases: PhaseTimings,
-    refine_passes: usize,
-    refine_converged: bool,
+    totals: RunSummary,
 }
 
 impl CollectSink {
@@ -336,9 +386,7 @@ impl CollectSink {
             m,
             clusters: Vec::new(),
             cluster_assignment: Vec::new(),
-            phases: PhaseTimings::default(),
-            refine_passes: 0,
-            refine_converged: true,
+            totals: RunSummary::default(),
         }
     }
 
@@ -358,9 +406,9 @@ impl CollectSink {
                 clusters: self.clusters,
             },
             cluster_assignment: self.cluster_assignment,
-            phases: self.phases,
-            refine_passes: self.refine_passes,
-            refine_converged: self.refine_converged,
+            phases: self.totals.phases,
+            refine_passes: self.totals.refine_passes,
+            refine_converged: self.totals.refine_converged,
         }
     }
 }
@@ -369,6 +417,7 @@ impl ChunkSink for CollectSink {
     fn accept(&mut self, batch: BatchOutput) -> Result<(), SinkError> {
         let offset = batch.record_offset;
         let output = batch.output;
+        self.totals.add_output(&output);
         self.clusters.extend(output.dataset.clusters);
         self.cluster_assignment.extend(
             output
@@ -376,9 +425,6 @@ impl ChunkSink for CollectSink {
                 .into_iter()
                 .map(|indices| indices.into_iter().map(|i| i + offset).collect()),
         );
-        self.phases.accumulate(output.phases);
-        self.refine_passes = self.refine_passes.max(output.refine_passes);
-        self.refine_converged &= output.refine_converged;
         Ok(())
     }
 }
@@ -400,47 +446,6 @@ impl<F: FnMut(BatchOutput)> ChunkSink for FnSink<F> {
     fn accept(&mut self, batch: BatchOutput) -> Result<(), SinkError> {
         (self.f)(batch);
         Ok(())
-    }
-}
-
-/// Running totals of what a [`JsonChunksSink`] has written.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChunkFileStats {
-    /// Original records covered by the written clusters.
-    pub records: usize,
-    /// Simple clusters written.
-    pub simple_clusters: usize,
-    /// Record chunks written.
-    pub record_chunks: usize,
-    /// Shared chunks written.
-    pub shared_chunks: usize,
-    /// Summed per-phase seconds across batches.
-    pub phases: PhaseTimings,
-    /// Highest refining pass count any batch used.
-    pub refine_passes: usize,
-    /// Whether every batch's refining step converged before its pass limit.
-    pub refine_converged: bool,
-}
-
-impl Default for ChunkFileStats {
-    fn default() -> Self {
-        ChunkFileStats {
-            records: 0,
-            simple_clusters: 0,
-            record_chunks: 0,
-            shared_chunks: 0,
-            phases: PhaseTimings::default(),
-            refine_passes: 0,
-            // An empty run trivially converged.
-            refine_converged: true,
-        }
-    }
-}
-
-impl ChunkFileStats {
-    /// Total anonymization time in seconds (sum over phases and batches).
-    pub fn total_seconds(&self) -> f64 {
-        self.phases.total()
     }
 }
 
@@ -467,7 +472,6 @@ pub struct JsonChunksSink<W: Write> {
     m: usize,
     clusters_written: usize,
     finished: bool,
-    stats: ChunkFileStats,
     /// One cluster node's rendering, reused across nodes.
     buf: Vec<u8>,
 }
@@ -481,7 +485,6 @@ impl<W: Write> JsonChunksSink<W> {
             m: config.m,
             clusters_written: 0,
             finished: false,
-            stats: ChunkFileStats::default(),
             buf: Vec::new(),
         }
     }
@@ -504,11 +507,6 @@ impl JsonChunksSink<std::io::BufWriter<std::fs::File>> {
 }
 
 impl<W: Write> JsonChunksSink<W> {
-    /// Counters over everything written so far.
-    pub fn stats(&self) -> &ChunkFileStats {
-        &self.stats
-    }
-
     /// Consumes the sink, returning the writer (after [`ChunkSink::finish`]
     /// this holds the complete document).
     pub fn into_writer(self) -> W {
@@ -541,15 +539,7 @@ impl<W: Write> JsonChunksSink<W> {
 
 impl<W: Write> ChunkSink for JsonChunksSink<W> {
     fn accept(&mut self, batch: BatchOutput) -> Result<(), SinkError> {
-        let output = &batch.output;
-        self.stats.records += output.dataset.total_records();
-        self.stats.simple_clusters += output.dataset.simple_clusters().len();
-        self.stats.record_chunks += output.dataset.num_record_chunks();
-        self.stats.shared_chunks += output.dataset.shared_chunks().len();
-        self.stats.phases.accumulate(output.phases);
-        self.stats.refine_passes = self.stats.refine_passes.max(output.refine_passes);
-        self.stats.refine_converged &= output.refine_converged;
-        for node in &output.dataset.clusters {
+        for node in &batch.output.dataset.clusters {
             self.write_cluster(node)?;
         }
         Ok(())
@@ -635,11 +625,12 @@ impl ChunkSink for MultiSink<'_> {
 /// retain per-batch state for appends, by
 /// [`build_incremental`](Pipeline::build_incremental)).
 ///
-/// With `threads(n > 1)`, up to `n` batches are anonymized concurrently on a
-/// bounded worker pool while the source is pulled and the sink is fed from
-/// the calling thread; sink delivery stays in batch order, so the output is
-/// byte-identical to a single-threaded run.  The thread count is the run's
-/// whole parallelism budget: each batch is anonymized on one thread.
+/// Up to [`threads`](Pipeline::threads) batches are anonymized concurrently
+/// on a bounded worker pool while the source is pulled and the sink is fed
+/// from the calling thread; sink delivery stays in batch order, so the
+/// output is byte-identical for every thread count.  The thread count is the
+/// run's whole anonymization budget: each batch is anonymized on one
+/// worker.
 pub struct Pipeline<'a> {
     config: DisassociationConfig,
     source: Option<&'a mut dyn RecordSource>,
@@ -671,8 +662,10 @@ impl<'a> Pipeline<'a> {
         self
     }
 
-    /// Number of batches anonymized concurrently (`1` = in the calling
-    /// thread, `0` = one per available core).
+    /// Number of worker threads anonymizing batches concurrently (`0` = one
+    /// per available core; the default `1` is one worker beside the calling
+    /// thread, which pulls the source and feeds the sink).  Fewer than
+    /// `2 × threads` batches are live at once (`2 × threads − 1`).
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n;
         self
@@ -743,14 +736,18 @@ impl<'a> Pipeline<'a> {
 }
 
 /// What a batch job returns: anything carrying its per-phase timings, which
-/// the driver reports per batch.
+/// the driver reports per batch, and what it adds to the run's totals.
 trait BatchResult: Send {
     fn phases(&self) -> PhaseTimings;
+    fn tally(&self, summary: &mut RunSummary);
 }
 
 impl BatchResult for DisassociationOutput {
     fn phases(&self) -> PhaseTimings {
         self.phases
+    }
+    fn tally(&self, summary: &mut RunSummary) {
+        summary.add_output(self);
     }
 }
 
@@ -758,6 +755,9 @@ impl BatchResult for IncrementalRun {
     fn phases(&self) -> PhaseTimings {
         IncrementalRun::phases(self)
     }
+    /// A build publishes nothing yet (its summary is discarded), so only the
+    /// driver's record and batch counts apply.
+    fn tally(&self, _summary: &mut RunSummary) {}
 }
 
 /// One finished batch: its position in the stream and its job's result.
@@ -770,10 +770,10 @@ struct Done<O> {
 
 /// The batch driver shared by [`Pipeline::run`] and
 /// [`Pipeline::build_incremental`]: runs `job` on every non-empty batch of
-/// `source` — in the calling thread for `threads == 1`, on a worker pool
-/// otherwise (`0` = one worker per core) — and hands each result to
-/// `consume` in batch order.  The first source or `consume` error aborts
-/// the run.
+/// `source` on a pool of `threads` workers (`0` = one per core) while the
+/// calling thread pulls the source and hands each result to `consume` in
+/// batch order.  The first source or `consume` error aborts the run; a
+/// panicking job is re-raised on the calling thread.
 fn drive<O, J, C>(
     source: &mut dyn RecordSource,
     threads: usize,
@@ -792,82 +792,10 @@ where
     } else {
         threads
     };
-    if threads == 1 {
-        run_serial(source, &job, &mut consume)
-    } else {
-        run_parallel(source, &job, &mut consume, threads)
-    }
-}
-
-/// Reports one finished batch and hands it to `consume`.
-fn deliver<O: BatchResult>(
-    consume: &mut impl FnMut(Done<O>) -> Result<(), Error>,
-    summary: &mut RunSummary,
-    done: Done<O>,
-) -> Result<(), Error> {
-    let batch_seconds = done.output.phases().total();
-    let (index, records) = (done.index, done.len);
-    obs_gauges::CORE_LAST_BATCH_RECORDS.set(records as u64);
-    obs_histograms::CORE_BATCH_MICROS.record((batch_seconds * 1e6) as u64);
-    if obs_trace::enabled() {
-        obs_trace::event(
-            disassoc_obs::names::EVENT_PIPELINE_BATCH,
-            &[
-                ("batch", Attr::U64(index as u64)),
-                ("records", Attr::U64(records as u64)),
-                ("total_s", Attr::F64(batch_seconds)),
-            ],
-        );
-    }
-    consume(done)?;
-    summary.batches += 1;
-    summary.records += records;
-    summary.peak_batch_records = summary.peak_batch_records.max(records);
-    Ok(())
-}
-
-fn run_serial<O: BatchResult>(
-    source: &mut dyn RecordSource,
-    job: &impl Fn(Vec<Record>) -> O,
-    consume: &mut impl FnMut(Done<O>) -> Result<(), Error>,
-) -> Result<RunSummary, Error> {
-    let mut summary = RunSummary::default();
-    loop {
-        let records = match source.next_batch().map_err(Error::Source)? {
-            None => break,
-            Some(r) if r.is_empty() => continue,
-            Some(r) => r,
-        };
-        let done = Done {
-            index: summary.batches,
-            offset: summary.records,
-            len: records.len(),
-            output: job(records),
-        };
-        deliver(consume, &mut summary, done)?;
-    }
-    Ok(summary)
-}
-
-struct Job {
-    index: usize,
-    offset: usize,
-    records: Vec<Record>,
-}
-
-/// What a worker sends back: a finished batch, or the panic payload of a
-/// batch that unwound (re-raised on the driver thread).
-type WorkerResult<O> = Result<Done<O>, Box<dyn std::any::Any + Send + 'static>>;
-
-fn run_parallel<O: BatchResult>(
-    source: &mut dyn RecordSource,
-    job: &(impl Fn(Vec<Record>) -> O + Sync),
-    consume: &mut impl FnMut(Done<O>) -> Result<(), Error>,
-    threads: usize,
-) -> Result<RunSummary, Error> {
     let (job_tx, job_rx) = mpsc::channel::<Job>();
     let job_rx = Mutex::new(job_rx);
     let (done_tx, done_rx) = mpsc::channel::<WorkerResult<O>>();
+    let job = &job;
     // The scope joins every worker before it returns.
     std::thread::scope(|scope| {
         for _ in 0..threads {
@@ -909,9 +837,48 @@ fn run_parallel<O: BatchResult>(
         drop(done_tx);
         // On an early error return the channels are dropped here, which
         // unblocks every worker (recv/send fail) before the scope joins.
-        feed(source, consume, job_tx, done_rx, threads)
+        feed(source, &mut consume, job_tx, done_rx, threads)
     })
 }
+
+/// Reports one finished batch, folds it into the totals and hands it to
+/// `consume`.
+fn deliver<O: BatchResult>(
+    consume: &mut impl FnMut(Done<O>) -> Result<(), Error>,
+    summary: &mut RunSummary,
+    done: Done<O>,
+) -> Result<(), Error> {
+    let batch_seconds = done.output.phases().total();
+    let (index, records) = (done.index, done.len);
+    obs_gauges::CORE_LAST_BATCH_RECORDS.set(records as u64);
+    obs_histograms::CORE_BATCH_MICROS.record((batch_seconds * 1e6) as u64);
+    if obs_trace::enabled() {
+        obs_trace::event(
+            disassoc_obs::names::EVENT_PIPELINE_BATCH,
+            &[
+                ("batch", Attr::U64(index as u64)),
+                ("records", Attr::U64(records as u64)),
+                ("total_s", Attr::F64(batch_seconds)),
+            ],
+        );
+    }
+    done.output.tally(summary);
+    consume(done)?;
+    summary.batches += 1;
+    summary.records += records;
+    summary.peak_batch_records = summary.peak_batch_records.max(records);
+    Ok(())
+}
+
+struct Job {
+    index: usize,
+    offset: usize,
+    records: Vec<Record>,
+}
+
+/// What a worker sends back: a finished batch, or the panic payload of a
+/// batch that unwound (re-raised on the driver thread).
+type WorkerResult<O> = Result<Done<O>, Box<dyn std::any::Any + Send + 'static>>;
 
 fn feed<O: BatchResult>(
     source: &mut dyn RecordSource,
@@ -922,10 +889,13 @@ fn feed<O: BatchResult>(
 ) -> Result<RunSummary, Error> {
     // The submission window is measured from the *consumer frontier*
     // (`next_deliver`), not from worker completions: it caps in-flight jobs
-    // AND the reorder buffer together, so live batches never exceed
-    // 2 × threads even when the head-of-line batch is much slower than its
-    // successors (otherwise `pending` could grow towards the whole dataset).
-    let window = threads * 2;
+    // AND the reorder buffer together, so live batches stay bounded even
+    // when the head-of-line batch is much slower than its successors
+    // (otherwise `pending` could grow towards the whole dataset).  It holds
+    // the head-of-line batch plus, for each other worker, one batch running
+    // and one finished ahead of the head: 2 × threads − 1 in all, which is
+    // one batch at a time for a single worker.
+    let window = threads * 2 - 1;
     let mut summary = RunSummary::default();
     let mut pending: BTreeMap<usize, Done<O>> = BTreeMap::new();
     let mut next_deliver = 0usize;
@@ -1030,12 +1000,17 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_the_output() {
+        // Everything but the wall-clock phase timings must agree.
+        let untimed = |s: RunSummary| RunSummary {
+            phases: PhaseTimings::default(),
+            ..s
+        };
         let (serial, s1) = collect_run(1, 16, 50);
         for threads in [2, 4, 0] {
             let (parallel, sn) = collect_run(threads, 16, 50);
             assert_eq!(serial.dataset, parallel.dataset, "threads {threads}");
             assert_eq!(serial.cluster_assignment, parallel.cluster_assignment);
-            assert_eq!(s1, sn);
+            assert_eq!(untimed(s1), untimed(sn));
         }
     }
 
@@ -1294,38 +1269,39 @@ mod tests {
     }
 
     #[test]
-    fn json_chunks_sink_tracks_stats() {
+    fn run_summary_totals_match_the_published_dataset() {
         let d = workload(40);
-        let mut sink = JsonChunksSink::numeric(Vec::new(), &config());
-        let mut source = DatasetSource::new(&d, 20);
-        Pipeline::new(config())
-            .source(&mut source)
-            .sink(&mut sink)
-            .run()
-            .unwrap();
-        let stats = *sink.stats();
-        assert_eq!(stats.records, 40);
-        assert!(stats.simple_clusters > 0);
-        assert!(stats.total_seconds() >= 0.0);
+        for threads in [1, 3] {
+            let mut sink = CollectSink::for_config(&config());
+            let mut source = DatasetSource::new(&d, 20);
+            let summary = Pipeline::new(config())
+                .source(&mut source)
+                .sink(&mut sink)
+                .threads(threads)
+                .run()
+                .unwrap();
+            let out = sink.into_output();
+            assert_eq!(summary.records, 40);
+            assert_eq!(summary.records, out.dataset.total_records());
+            assert!(summary.simple_clusters > 0);
+            assert_eq!(summary.simple_clusters, out.dataset.simple_clusters().len());
+            assert_eq!(summary.record_chunks, out.dataset.num_record_chunks());
+            assert_eq!(summary.shared_chunks, out.dataset.shared_chunks().len());
+            assert_eq!(summary.phases, out.phases);
+            assert!(summary.total_seconds() >= 0.0);
+        }
     }
 
     #[test]
     fn refine_telemetry_aggregates_across_batches() {
         let d = workload(60);
         let mut collect = CollectSink::for_config(&config());
-        let mut file = JsonChunksSink::numeric(Vec::new(), &config());
-        {
-            let mut tee = MultiSink::new();
-            tee.push(&mut collect);
-            tee.push(&mut file);
-            let mut source = DatasetSource::new(&d, 20);
-            Pipeline::new(config())
-                .source(&mut source)
-                .sink(&mut tee)
-                .run()
-                .unwrap();
-        }
-        let stats = *file.stats();
+        let mut source = DatasetSource::new(&d, 20);
+        let summary = Pipeline::new(config())
+            .source(&mut source)
+            .sink(&mut collect)
+            .run()
+            .unwrap();
         let out = collect.into_output();
         assert!(
             out.refine_passes >= 1,
@@ -1335,10 +1311,72 @@ mod tests {
             out.refine_converged,
             "this workload converges well below the cap"
         );
-        assert_eq!(stats.refine_passes, out.refine_passes);
-        assert_eq!(stats.refine_converged, out.refine_converged);
+        assert_eq!(summary.refine_passes, out.refine_passes);
+        assert_eq!(summary.refine_converged, out.refine_converged);
         // An empty run reports trivial convergence.
-        assert!(ChunkFileStats::default().refine_converged);
-        assert_eq!(ChunkFileStats::default().refine_passes, 0);
+        assert!(RunSummary::default().refine_converged);
+        assert_eq!(RunSummary::default().refine_passes, 0);
+    }
+
+    /// A batch whose job panics: the payload reaches the caller, every
+    /// earlier batch is delivered in order first, and nothing is sealed.
+    #[test]
+    fn worker_panic_is_re_raised_after_in_order_delivery_without_sealing() {
+        use std::sync::Condvar;
+        use std::time::Duration;
+        // Batch `i` is ten copies of the record `{i}`.
+        let batches: Vec<Vec<Record>> = (0..5).map(|i| vec![rec(&[i]); 10]).collect();
+        for threads in [1, 3] {
+            let disassociator = Disassociator::new(config());
+            // Batches delivered so far, and its change signal.
+            let delivered = (Mutex::new(0usize), Condvar::new());
+            let job = |records: Vec<Record>| {
+                if records[0] == rec(&[2]) {
+                    // Panic only once batches 0 and 1 reached the sink, so
+                    // the order of worker completions cannot hide them.
+                    let (count, changed) = &delivered;
+                    let guard = count.lock().unwrap();
+                    let timeout = Duration::from_secs(30);
+                    drop(
+                        changed
+                            .wait_timeout_while(guard, timeout, |n| *n < 2)
+                            .unwrap(),
+                    );
+                    panic!("synthetic failure in batch 2");
+                }
+                disassociator.anonymize_owned(Dataset::from_records(records))
+            };
+            let mut source = IterSource::new(batches.clone());
+            let mut seen = Vec::new();
+            let mut sink = FailingSink {
+                accepted: 0,
+                fail_at: usize::MAX,
+                finished: false,
+            };
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                // The body of `Pipeline::run`: deliver in order, then seal.
+                drive(&mut source, threads, job, |done| {
+                    seen.push(done.index);
+                    sink.accept(BatchOutput {
+                        batch_index: done.index,
+                        record_offset: done.offset,
+                        output: done.output,
+                    })
+                    .map_err(Error::Sink)?;
+                    *delivered.0.lock().unwrap() += 1;
+                    delivered.1.notify_all();
+                    Ok(())
+                })?;
+                sink.finish().map_err(Error::Sink)
+            }))
+            .expect_err("the worker panic reaches the caller");
+            let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert_eq!(message, "synthetic failure in batch 2", "threads {threads}");
+            assert_eq!(seen, vec![0, 1], "threads {threads}");
+            assert!(
+                !sink.finished,
+                "threads {threads}: a panicked run is not sealed"
+            );
+        }
     }
 }

@@ -32,7 +32,6 @@ use disassoc_obs::metrics::{self, counters};
 use disassoc_obs::names;
 use disassoc_obs::trace as obs_trace;
 use disassoc_store::publish::{self, AppendJob};
-use disassociation::pipeline::MultiSink;
 use disassociation::{AppendOptions, DisassociationConfig, Pipeline};
 use serde_json::Value;
 use transact::{io::RecordReader, Record, TermId};
@@ -53,9 +52,9 @@ pub struct ServeConfig {
     pub write_timeout: Duration,
     /// Concurrent connections before new ones answer 503 immediately.
     pub max_connections: usize,
-    /// Pipeline batch size for anonymize/append jobs (also the CLI's
-    /// store-scan default, so served publications diff clean against
-    /// `disassoc anonymize --store`).
+    /// Pipeline batch size for anonymize/append jobs (default
+    /// [`publish::DEFAULT_BATCH_SIZE`], the CLI's too, so served
+    /// publications diff clean against `disassoc anonymize --store`).
     pub batch_size: usize,
     /// How long a connection thread waits for its job's reply before giving
     /// up with a 504 (the job itself keeps running to completion) — the
@@ -72,7 +71,7 @@ impl Default for ServeConfig {
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
             max_connections: 32,
-            batch_size: 8192,
+            batch_size: publish::DEFAULT_BATCH_SIZE,
             job_reply_timeout: Duration::from_secs(600),
         }
     }
@@ -545,10 +544,13 @@ fn anonymize(state: &Arc<State>, name: &str, request: &Request) -> Result<Respon
 ///
 /// Identical records, batch size, and config produce a `publication.chunks.json`
 /// byte-identical to `disassoc anonymize --store <dir> --out-prefix <prefix>`
-/// — both paths are the same `Pipeline` over the same `StoreSource` into the
-/// same `JsonChunksSink`, committed by the same
-/// [`publish_flat_file`](disassoc_store::publish::publish_flat_file) (the
-/// integration suite diffs the two).
+/// — both paths are the same `Pipeline` over the same [`Store::source`]
+/// scan, published by the same
+/// [`publish_flat_file`](disassoc_store::publish::publish_flat_file) call,
+/// here teed with the dataset's `ChunkDir` (the integration suite diffs the
+/// two).
+///
+/// [`Store::source`]: disassoc_store::Store::source
 fn anonymize_job(
     handle: &DatasetHandle,
     name: &str,
@@ -558,33 +560,32 @@ fn anonymize_job(
     let (result, seconds) = obs_trace::span(names::SPAN_SERVE_ANONYMIZE_JOB, || {
         handle.with_store(|store| {
             handle.with_publication(|chunk_dir| {
-                publish::publish_flat_file(&handle.publication_path(), config, |file_sink| {
-                    let mut sinks = MultiSink::new();
-                    sinks.push(chunk_dir);
-                    sinks.push(file_sink);
+                let path = handle.publication_path();
+                publish::publish_flat_file(&path, config, Some(chunk_dir), |sink| {
                     let mut source = store.source(batch_size);
-                    let summary = Pipeline::new(config.clone())
+                    Ok(Pipeline::new(config.clone())
                         .source(&mut source)
-                        .sink(&mut sinks)
+                        .sink(sink)
                         .threads(0)
-                        .run()?;
-                    drop(sinks);
-                    Ok((summary, *file_sink.stats()))
+                        .run()?)
                 })
             })
         })
     });
-    let (summary, stats) = result?;
+    let summary = result?;
     Ok(Response::json(
         200,
         obj(vec![
             ("dataset", Value::Str(name.to_owned())),
             ("records", Value::Int(summary.records as i128)),
             ("batches", Value::Int(summary.batches as i128)),
-            ("simple_clusters", Value::Int(stats.simple_clusters as i128)),
-            ("record_chunks", Value::Int(stats.record_chunks as i128)),
-            ("shared_chunks", Value::Int(stats.shared_chunks as i128)),
-            ("refine_converged", Value::Bool(stats.refine_converged)),
+            (
+                "simple_clusters",
+                Value::Int(summary.simple_clusters as i128),
+            ),
+            ("record_chunks", Value::Int(summary.record_chunks as i128)),
+            ("shared_chunks", Value::Int(summary.shared_chunks as i128)),
+            ("refine_converged", Value::Bool(summary.refine_converged)),
             ("seconds", Value::Float(seconds)),
         ]),
     ))

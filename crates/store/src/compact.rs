@@ -12,7 +12,7 @@
 //! with O(batch) memory.
 
 use crate::manifest::{Manifest, SegmentEntry};
-use crate::segment::{Segment, SegmentWriter, DEFAULT_INDEX_EVERY};
+use crate::segment::{Segment, SegmentWriter};
 use crate::Result;
 use std::path::Path;
 
@@ -86,7 +86,7 @@ pub(crate) fn compact_pass(
         *manifest_next_id += 1;
         let file = Manifest::segment_file_name(id);
         let path = dir.join(&file);
-        let mut writer = SegmentWriter::create(&path, DEFAULT_INDEX_EVERY)?;
+        let mut writer = SegmentWriter::create(&path)?;
         let mut records = 0u64;
         for entry in run.iter() {
             let seg = Segment::open(dir.join(&entry.file))?;

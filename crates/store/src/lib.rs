@@ -14,16 +14,18 @@
 //! * appended records land in an in-memory **memtable**, guarded by a
 //!   **write-ahead log** ([`wal`]);
 //! * a full memtable spills to an immutable, checksummed on-disk **segment**
-//!   ([`segment`]: length-prefixed varint records, sparse offset index,
-//!   footer with record count + term-universe summary + CRC-32);
+//!   ([`segment`]: varint-encoded records and a footer with record count +
+//!   term-universe summary + CRC-32; scans always start at record 0);
 //! * the **manifest** ([`manifest`]) names the live segments in scan order
 //!   and is replaced atomically by the commit protocol every published file
 //!   shares, so an interrupted ingest recovers to a consistent state
 //!   ([`Store::open`] replays the WAL and sweeps orphaned files);
 //! * **size-tiered compaction** ([`compact`]) merges runs of small adjacent
 //!   segments to keep the per-scan segment count bounded;
-//! * [`Store::scan`] returns a [`RecordBatchIter`] — the chunked read API
-//!   the out-of-core anonymization in `disassociation::pipeline` consumes.
+//! * [`Store::scan`] and [`Store::source`] return the one scan type,
+//!   [`RecordBatchIter`] — the chunked read API (an iterator and a pipeline
+//!   `RecordSource`) the out-of-core anonymization in
+//!   `disassociation::pipeline` consumes.
 //!
 //! ```
 //! use disassoc_store::{Store, StoreConfig};
@@ -50,7 +52,6 @@ pub mod manifest;
 pub mod publish;
 pub mod scan;
 pub mod segment;
-pub mod source;
 pub mod wal;
 
 pub use compact::CompactionStats;
@@ -58,11 +59,10 @@ pub use manifest::{Manifest, SegmentEntry};
 pub use publish::{BatchChunks, ChunkDir, ChunkEntry, ChunkManifest};
 pub use scan::RecordBatchIter;
 pub use segment::{SegmentMeta, TermSummary};
-pub use source::StoreSource;
 
 use disassoc_obs::metrics::counters as obs_counters;
 use manifest::MANIFEST_FILE;
-use segment::{read_footer, SegmentWriter, DEFAULT_INDEX_EVERY};
+use segment::{read_footer, SegmentWriter};
 use std::fs::File;
 use std::path::{Path, PathBuf};
 use transact::Record;
@@ -326,7 +326,7 @@ impl Store {
         let id = self.manifest.next_segment_id;
         let file = Manifest::segment_file_name(id);
         let path = self.dir.join(&file);
-        let mut writer = SegmentWriter::create(&path, DEFAULT_INDEX_EVERY)?;
+        let mut writer = SegmentWriter::create(&path)?;
         for r in &self.memtable {
             writer.add(r)?;
         }
@@ -394,6 +394,12 @@ impl Store {
     /// Scans all records in ingestion order, `batch_size` records at a time.
     pub fn scan(&self, batch_size: usize) -> RecordBatchIter<'_> {
         RecordBatchIter::new(self, batch_size)
+    }
+
+    /// The same scan as [`Store::scan`], named for its use as a pipeline
+    /// `RecordSource`.
+    pub fn source(&self, batch_size: usize) -> RecordBatchIter<'_> {
+        self.scan(batch_size)
     }
 
     /// Gathers the store summary (reads every segment footer; does not

@@ -21,24 +21,24 @@
 //! makes "clean chunks were not rewritten" directly observable from the
 //! file system.
 //!
-//! The module also holds the two publication protocols the CLI and the
-//! daemon share: [`publish_flat_file`] (the single-file `.chunks.json`
-//! publication: stage as `.partial`, commit with [`commit_flat_file`],
-//! remove on error) and [`AppendJob`] (rebuild from the store, append,
-//! persist, republish).
+//! The module also holds the publication protocol the CLI and the daemon
+//! share: [`publish_flat_file`] (the single-file `.chunks.json`
+//! publication, optionally teed with a [`ChunkDir`]: stage as `.partial`,
+//! commit with [`commit_flat_file`], remove on error), which both a full
+//! anonymization and an [`AppendJob`] (rebuild from the store, append,
+//! persist, republish) publish through, at the one default batch size
+//! [`DEFAULT_BATCH_SIZE`].
 
 use crate::commit::{self, ManifestFile};
 use crate::failpoints::{self, CLI_PUBLISH_RENAME, CLI_PUBLISH_SYNC};
 use crate::{Result, Store, StoreError};
 use disassoc_obs::metrics::counters as obs_counters;
 use disassociation::model::{ClusterNode, DisassociatedDataset};
-use disassociation::pipeline::JsonChunksSink;
+use disassociation::pipeline::{JsonChunksSink, MultiSink};
 use disassociation::{
     AppendOptions, AppendOutcome, BatchOutput, ChunkSink, DisassociationConfig, Pipeline, SinkError,
 };
 use serde::{Deserialize, Serialize};
-use std::fs::File;
-use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use transact::Record;
 
@@ -102,18 +102,21 @@ pub fn commit_flat_file(partial: &Path, final_path: &Path) -> Result<()> {
     commit::sync_and_rename(partial, final_path, CLI_PUBLISH_SYNC, CLI_PUBLISH_RENAME)
 }
 
-/// Publishes a flat `.chunks.json` file at `final_path`.
+/// Publishes a flat `.chunks.json` file at `final_path`, and to
+/// `chunk_dir` when one is given.
 ///
-/// `write` streams the publication into a [`JsonChunksSink`] over the
-/// `<final_path>.partial` sibling — alone, or teed with a [`ChunkDir`]
-/// through a `MultiSink`; the sink is sealed and the file committed with
-/// [`commit_flat_file`] only after `write` succeeded.  On any error the
-/// partial file is removed, so a failed run never destroys an existing
-/// publication nor leaves a valid-looking truncated one behind.
+/// `write` streams the publication into one sink: a [`JsonChunksSink`] over
+/// the `<final_path>.partial` sibling, or — with a `chunk_dir` — a
+/// [`MultiSink`] tee feeding the [`ChunkDir`] first and the file second, so
+/// a sealed tee commits the directory before the file.  The file is sealed
+/// and committed with [`commit_flat_file`] only after `write` succeeded.
+/// On any error the partial file is removed, so a failed run never destroys
+/// an existing publication nor leaves a valid-looking truncated one behind.
 pub fn publish_flat_file<T, E>(
     final_path: &Path,
     config: &DisassociationConfig,
-    write: impl FnOnce(&mut JsonChunksSink<BufWriter<File>>) -> std::result::Result<T, E>,
+    chunk_dir: Option<&mut ChunkDir>,
+    write: impl FnOnce(&mut dyn ChunkSink) -> std::result::Result<T, E>,
 ) -> std::result::Result<T, E>
 where
     E: From<StoreError> + From<SinkError>,
@@ -123,10 +126,18 @@ where
     let partial = PathBuf::from(partial);
     let result = JsonChunksSink::create(&partial, config)
         .map_err(E::from)
-        .and_then(|mut sink| {
-            let value = write(&mut sink)?;
-            sink.finish()?;
-            drop(sink);
+        .and_then(|mut file| {
+            let value = match chunk_dir {
+                Some(dir) => {
+                    let mut tee = MultiSink::new();
+                    tee.push(dir);
+                    tee.push(&mut file);
+                    write(&mut tee)?
+                }
+                None => write(&mut file)?,
+            };
+            file.finish()?;
+            drop(file);
             commit_flat_file(&partial, final_path)?;
             Ok(value)
         });
@@ -135,6 +146,11 @@ where
     }
     result
 }
+
+/// Records per pipeline batch when the caller names none: the batching of
+/// `disassoc anonymize --store`, `disassoc append` and the daemon's jobs
+/// alike, so their publications match byte for byte.
+pub const DEFAULT_BATCH_SIZE: usize = 8192;
 
 /// One incremental append against a record store — the protocol shared by
 /// `disassoc append` and the daemon's append job.
@@ -163,10 +179,11 @@ pub struct Appended {
 impl AppendJob<'_> {
     /// Rebuilds the incremental state from `store`'s records, routes
     /// `records` into it, persists them (`append_batch` + `flush`), then
-    /// republishes to `chunk_dir` and as the flat file `flat_file` via
-    /// [`publish_flat_file`].  The rebuild leaves every batch dirty, so
-    /// every batch is delivered to `chunk_dir`; what leaves clean batch
-    /// files untouched is [`ChunkDir`]'s skip of byte-identical content.
+    /// republishes once: as the flat file `flat_file` via
+    /// [`publish_flat_file`] (teed with `chunk_dir`), or to `chunk_dir`
+    /// alone.  The rebuild leaves every batch dirty, so every batch is
+    /// delivered to `chunk_dir`; what leaves clean batch files untouched is
+    /// [`ChunkDir`]'s skip of byte-identical content.
     pub fn run<E>(
         &self,
         store: &mut Store,
@@ -187,13 +204,16 @@ impl AppendJob<'_> {
         let outcome = pipeline.append_with(records, &self.options);
         store.append_batch(records)?;
         store.flush()?;
-        if let Some(chunk_dir) = chunk_dir {
-            pipeline.publish_all(chunk_dir)?;
-        }
-        if let Some(path) = flat_file {
-            publish_flat_file(path, self.config, |sink| {
-                pipeline.publish_all(sink).map_err(E::from)
-            })?;
+        match (flat_file, chunk_dir) {
+            (Some(path), chunk_dir) => {
+                publish_flat_file(path, self.config, chunk_dir, |sink| {
+                    pipeline.publish_all(sink).map_err(E::from)
+                })?;
+            }
+            (None, Some(chunk_dir)) => {
+                pipeline.publish_all(chunk_dir)?;
+            }
+            (None, None) => {}
         }
         Ok(Appended {
             outcome,

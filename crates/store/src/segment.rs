@@ -2,27 +2,28 @@
 //!
 //! A segment is the unit the memtable spills to and compaction rewrites: a
 //! run of records in ingestion order, varint-encoded (see [`crate::encode`]),
-//! followed by a sparse offset index and a fixed-size footer:
+//! followed by an index region and a fixed-size footer:
 //!
 //! ```text
-//! +-----------+-----------------------+----------------------+--------+
-//! | magic (8) | data: encoded records | sparse index entries | footer |
-//! +-----------+-----------------------+----------------------+--------+
+//! +-----------+-----------------------+--------------+--------+
+//! | magic (8) | data: encoded records | index region | footer |
+//! +-----------+-----------------------+--------------+--------+
 //! ```
 //!
 //! * **data** — each record as `varint(count) varint(first) varint(deltas…)`.
-//! * **sparse index** — one `(record_ordinal, byte_offset)` varint pair every
-//!   `index_every` records (a [`SegmentWriter::create`] parameter);
-//!   `byte_offset` is relative to the start of the data region.  It allows
-//!   seeking near a record without decoding the whole segment.
+//! * **index region** — empty in every segment written today
+//!   (`index_len` = 0).  Segments written by earlier versions carry a sparse
+//!   offset index there (`(record_ordinal, byte_offset)` varint pairs); a
+//!   scan always starts at record 0 and never seeks, so readers checksum the
+//!   region and otherwise skip it.
 //! * **footer** (fixed 60 bytes, little-endian):
 //!   `data_len u64 · index_len u64 · record_count u64 · term_occurrences u64 ·
 //!   min_term u32 · max_term u32 · distinct_terms u64 · crc32 u32 ·
 //!   tail magic (8)`.  The CRC covers everything before it (head magic, data,
-//!   index and the footer fields preceding the CRC), so a truncated or
+//!   index region and the footer fields preceding the CRC), so a truncated or
 //!   bit-flipped segment is rejected rather than mis-parsed.
 
-use crate::encode::{read_record, read_varint, write_record, write_varint, Crc32, CrcWriter};
+use crate::encode::{read_record, write_record, Crc32, CrcWriter};
 use crate::{failpoints, Result, StoreError};
 use disassoc_faults as faults;
 use std::collections::BTreeSet;
@@ -37,8 +38,6 @@ pub const SEGMENT_MAGIC: &[u8; 8] = b"DSSEG001";
 pub const SEGMENT_TAIL: &[u8; 8] = b"DSSEGEND";
 /// Size of the fixed footer in bytes.
 pub const FOOTER_LEN: u64 = 60;
-/// Default sparse-index granularity (one entry per this many records).
-pub const DEFAULT_INDEX_EVERY: usize = 1024;
 
 /// Summary of the term universe of a segment (part of the footer): enough to
 /// skip segments during term-restricted scans without opening them.
@@ -78,7 +77,7 @@ impl TermSummary {
 pub struct SegmentMeta {
     /// Length of the data region in bytes.
     pub data_len: u64,
-    /// Length of the sparse index region in bytes.
+    /// Length of the index region in bytes (0 for segments written today).
     pub index_len: u64,
     /// Number of records.
     pub record_count: u64,
@@ -103,8 +102,6 @@ impl SegmentMeta {
 pub struct SegmentWriter {
     out: CrcWriter<BufWriter<File>>,
     path: PathBuf,
-    index_every: usize,
-    index: Vec<(u64, u64)>,
     record_count: u64,
     data_bytes: u64,
     term_occurrences: u64,
@@ -114,9 +111,8 @@ pub struct SegmentWriter {
 }
 
 impl SegmentWriter {
-    /// Creates `path` and writes the head magic.  `index_every` controls the
-    /// sparse-index granularity (0 selects [`DEFAULT_INDEX_EVERY`]).
-    pub fn create<P: AsRef<Path>>(path: P, index_every: usize) -> Result<Self> {
+    /// Creates `path` and writes the head magic.
+    pub fn create<P: AsRef<Path>>(path: P) -> Result<Self> {
         faults::check_at(failpoints::SEGMENT_CREATE, path.as_ref())?;
         let file = File::create(path.as_ref())?;
         let mut out = CrcWriter::new(BufWriter::new(file));
@@ -124,12 +120,6 @@ impl SegmentWriter {
         Ok(SegmentWriter {
             out,
             path: path.as_ref().to_path_buf(),
-            index_every: if index_every == 0 {
-                DEFAULT_INDEX_EVERY
-            } else {
-                index_every
-            },
-            index: Vec::new(),
             record_count: 0,
             data_bytes: 0,
             term_occurrences: 0,
@@ -142,9 +132,6 @@ impl SegmentWriter {
     /// Appends one record.
     pub fn add(&mut self, record: &Record) -> Result<()> {
         faults::check_at(failpoints::SEGMENT_WRITE, &self.path)?;
-        if self.record_count.is_multiple_of(self.index_every as u64) {
-            self.index.push((self.record_count, self.data_bytes));
-        }
         let n = write_record(record, &mut self.out)?;
         self.data_bytes += n as u64;
         self.record_count += 1;
@@ -168,16 +155,12 @@ impl SegmentWriter {
         self.data_bytes
     }
 
-    /// Writes the index and footer, fsyncs and returns the metadata.
+    /// Writes the footer (after an empty index region), fsyncs and returns
+    /// the metadata.
     pub fn finish(mut self) -> Result<SegmentMeta> {
         faults::check_at(failpoints::SEGMENT_FINISH, &self.path)?;
         let data_len = self.data_bytes;
-        let index_start = self.out.bytes;
-        for &(ordinal, offset) in &self.index {
-            write_varint(ordinal, &mut self.out)?;
-            write_varint(offset, &mut self.out)?;
-        }
-        let index_len = self.out.bytes - index_start;
+        let index_len = 0u64;
         let terms = TermSummary {
             min_term: self.min_term,
             max_term: self.max_term,
@@ -312,55 +295,17 @@ impl Segment {
         &self.path
     }
 
-    /// Streams all records of the segment in order.
+    /// Streams all records of the segment in order.  The index region
+    /// after the data is never read here: the iterator stops after
+    /// `record_count` records.
     pub fn records(&self) -> Result<SegmentRecordIter> {
-        self.records_from(0)
-    }
-
-    /// Streams records starting at ordinal `start`, using the sparse index to
-    /// skip ahead without decoding the prefix record by record where
-    /// possible.
-    pub fn records_from(&self, start: u64) -> Result<SegmentRecordIter> {
         let mut file = File::open(&self.path)?;
-        let data_start = SEGMENT_MAGIC.len() as u64;
-        // Find the closest indexed record at or before `start`.
-        let (mut ordinal, offset) = self.index_floor(&mut file, start)?;
-        file.seek(SeekFrom::Start(data_start + offset))?;
-        let mut iter = SegmentRecordIter {
+        file.seek(SeekFrom::Start(SEGMENT_MAGIC.len() as u64))?;
+        Ok(SegmentRecordIter {
             reader: BufReader::new(file),
-            remaining: self.meta.record_count.saturating_sub(ordinal),
+            remaining: self.meta.record_count,
             path: self.path.clone(),
-        };
-        // Decode and discard up to `start`.
-        while ordinal < start {
-            match iter.next() {
-                Some(Ok(_)) => ordinal += 1,
-                Some(Err(e)) => return Err(e),
-                None => break,
-            }
-        }
-        Ok(iter)
-    }
-
-    /// Returns the `(ordinal, data_offset)` of the latest sparse-index entry
-    /// not after `start`.
-    fn index_floor(&self, file: &mut File, start: u64) -> Result<(u64, u64)> {
-        if start == 0 || self.meta.index_len == 0 {
-            return Ok((0, 0));
-        }
-        let index_start = SEGMENT_MAGIC.len() as u64 + self.meta.data_len;
-        file.seek(SeekFrom::Start(index_start))?;
-        let mut reader = BufReader::new(file).take(self.meta.index_len);
-        let mut best = (0u64, 0u64);
-        while reader.limit() > 0 {
-            let ordinal = read_varint(&mut reader)?;
-            let offset = read_varint(&mut reader)?;
-            if ordinal > start {
-                break;
-            }
-            best = (ordinal, offset);
-        }
-        Ok(best)
+        })
     }
 }
 
@@ -408,8 +353,8 @@ mod tests {
         dir
     }
 
-    fn write_segment(path: &Path, records: &[Record], index_every: usize) -> SegmentMeta {
-        let mut w = SegmentWriter::create(path, index_every).unwrap();
+    fn write_segment(path: &Path, records: &[Record]) -> SegmentMeta {
+        let mut w = SegmentWriter::create(path).unwrap();
         for r in records {
             w.add(r).unwrap();
         }
@@ -421,7 +366,7 @@ mod tests {
         let dir = tmpdir("roundtrip");
         let path = dir.join("s.seg");
         let records = vec![rec(&[1, 2, 3]), rec(&[2, 9]), rec(&[]), rec(&[100000])];
-        let meta = write_segment(&path, &records, 2);
+        let meta = write_segment(&path, &records);
         assert_eq!(meta.record_count, 4);
         assert_eq!(meta.terms.term_occurrences, 6);
         assert_eq!(meta.terms.min_term, Some(1));
@@ -439,7 +384,7 @@ mod tests {
     fn empty_segment_roundtrips() {
         let dir = tmpdir("empty");
         let path = dir.join("s.seg");
-        let meta = write_segment(&path, &[], 0);
+        let meta = write_segment(&path, &[]);
         assert_eq!(meta.record_count, 0);
         assert_eq!(meta.terms.min_term, None);
         let seg = Segment::open(&path).unwrap();
@@ -447,21 +392,69 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The bytes of a segment in the layout earlier versions wrote: a
+    /// sparse-index entry `(ordinal, data offset)` every `stride`
+    /// records between the data and the footer, covered by the CRC
+    /// (`stride == 0` writes no entries: today's layout).
+    fn legacy_segment_bytes(records: &[Record], stride: u64) -> Vec<u8> {
+        use crate::encode::write_varint;
+        let mut out = CrcWriter::new(Vec::new());
+        out.write_all(SEGMENT_MAGIC).unwrap();
+        let mut index = Vec::new();
+        let mut data_len = 0u64;
+        let mut occurrences = 0u64;
+        let mut distinct = BTreeSet::new();
+        for (ordinal, r) in (0u64..).zip(records) {
+            if stride > 0 && ordinal.is_multiple_of(stride) {
+                index.push((ordinal, data_len));
+            }
+            data_len += write_record(r, &mut out).unwrap() as u64;
+            occurrences += r.len() as u64;
+            distinct.extend(r.iter().map(|t| t.raw()));
+        }
+        let index_start = out.bytes;
+        for (ordinal, offset) in index {
+            write_varint(ordinal, &mut out).unwrap();
+            write_varint(offset, &mut out).unwrap();
+        }
+        let index_len = out.bytes - index_start;
+        out.write_all(&data_len.to_le_bytes()).unwrap();
+        out.write_all(&index_len.to_le_bytes()).unwrap();
+        out.write_all(&(records.len() as u64).to_le_bytes())
+            .unwrap();
+        out.write_all(&occurrences.to_le_bytes()).unwrap();
+        let min = distinct.first().copied().unwrap_or(u32::MAX);
+        let max = distinct.last().copied().unwrap_or(0);
+        out.write_all(&min.to_le_bytes()).unwrap();
+        out.write_all(&max.to_le_bytes()).unwrap();
+        out.write_all(&(distinct.len() as u64).to_le_bytes())
+            .unwrap();
+        let crc = out.crc();
+        let mut bytes = out.into_inner();
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        bytes.extend_from_slice(SEGMENT_TAIL);
+        bytes
+    }
+
     #[test]
-    fn records_from_uses_sparse_index() {
-        let dir = tmpdir("seek");
+    fn segments_with_a_sparse_index_region_still_open_and_scan() {
+        let dir = tmpdir("legacy");
         let path = dir.join("s.seg");
         let records: Vec<Record> = (0..100u32).map(|i| rec(&[i, i + 1000])).collect();
-        write_segment(&path, &records, 10);
+        std::fs::write(&path, legacy_segment_bytes(&records, 10)).unwrap();
         let seg = Segment::open(&path).unwrap();
-        for start in [0u64, 1, 9, 10, 11, 55, 99, 100] {
-            let got: Vec<Record> = seg
-                .records_from(start)
-                .unwrap()
-                .map(|r| r.unwrap())
-                .collect();
-            assert_eq!(got, records[start as usize..], "start {start}");
-        }
+        assert!(seg.meta().index_len > 0, "the region under test is present");
+        assert_eq!(seg.meta().record_count, 100);
+        let read: Vec<Record> = seg.records().unwrap().map(|r| r.unwrap()).collect();
+        assert_eq!(read, records);
+        // A segment written today has the same layout with an empty region.
+        let fresh = dir.join("fresh.seg");
+        let meta = write_segment(&fresh, &records);
+        assert_eq!(meta.index_len, 0);
+        assert_eq!(
+            std::fs::read(&fresh).unwrap(),
+            legacy_segment_bytes(&records, 0)
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -469,7 +462,7 @@ mod tests {
     fn overflowing_footer_lengths_are_rejected_not_wrapped() {
         let dir = tmpdir("overflow");
         let path = dir.join("s.seg");
-        write_segment(&path, &[rec(&[1, 2, 3]), rec(&[4, 5])], 0);
+        write_segment(&path, &[rec(&[1, 2, 3]), rec(&[4, 5])]);
         let mut bytes = std::fs::read(&path).unwrap();
         // Patch the footer's data_len (first footer field) to u64::MAX: the
         // implied file size must be rejected as corrupt, not overflow.
@@ -485,7 +478,7 @@ mod tests {
     fn bit_flip_is_detected() {
         let dir = tmpdir("bitflip");
         let path = dir.join("s.seg");
-        write_segment(&path, &[rec(&[1, 2, 3]), rec(&[4, 5])], 0);
+        write_segment(&path, &[rec(&[1, 2, 3]), rec(&[4, 5])]);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
@@ -499,7 +492,7 @@ mod tests {
     fn truncation_is_detected() {
         let dir = tmpdir("trunc");
         let path = dir.join("s.seg");
-        write_segment(&path, &[rec(&[1, 2, 3]), rec(&[4, 5])], 0);
+        write_segment(&path, &[rec(&[1, 2, 3]), rec(&[4, 5])]);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
         assert!(Segment::open(&path).is_err());

@@ -30,8 +30,8 @@ fn arb_batch() -> impl Strategy<Value = Vec<Record>> {
     proptest::collection::vec(arb_record(), 0..60)
 }
 
-fn write_segment(path: &PathBuf, records: &[Record], index_every: usize) {
-    let mut w = SegmentWriter::create(path, index_every).unwrap();
+fn write_segment(path: &PathBuf, records: &[Record]) {
+    let mut w = SegmentWriter::create(path).unwrap();
     for r in records {
         w.add(r).unwrap();
     }
@@ -40,9 +40,9 @@ fn write_segment(path: &PathBuf, records: &[Record], index_every: usize) {
 
 proptest! {
     #[test]
-    fn encode_decode_is_identity(records in arb_batch(), index_every in 1usize..16) {
+    fn encode_decode_is_identity(records in arb_batch()) {
         let path = fresh_path("roundtrip");
-        write_segment(&path, &records, index_every);
+        write_segment(&path, &records);
         let seg = Segment::open(&path).unwrap();
         prop_assert_eq!(seg.meta().record_count, records.len() as u64);
         let decoded: Vec<Record> = seg.records().unwrap().map(|r| r.unwrap()).collect();
@@ -51,20 +51,9 @@ proptest! {
     }
 
     #[test]
-    fn seek_equals_skip(records in arb_batch(), index_every in 1usize..8, start_frac in 0.0f64..1.0) {
-        let path = fresh_path("seek");
-        write_segment(&path, &records, index_every);
-        let seg = Segment::open(&path).unwrap();
-        let start = ((records.len() as f64) * start_frac) as u64;
-        let tail: Vec<Record> = seg.records_from(start).unwrap().map(|r| r.unwrap()).collect();
-        prop_assert_eq!(tail, &records[start as usize..]);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn truncation_never_misparses(records in arb_batch(), cut_frac in 0.0f64..1.0) {
         let path = fresh_path("trunc");
-        write_segment(&path, &records, 4);
+        write_segment(&path, &records);
         let bytes = std::fs::read(&path).unwrap();
         // Cut strictly inside the file so the result is a damaged segment,
         // not the original.
@@ -77,12 +66,12 @@ proptest! {
     #[test]
     fn bit_flip_never_misparses(records in arb_batch(), pos_frac in 0.0f64..1.0, bit in 0u8..8) {
         let path = fresh_path("flip");
-        write_segment(&path, &records, 4);
+        write_segment(&path, &records);
         let mut bytes = std::fs::read(&path).unwrap();
         let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
         bytes[pos] ^= 1 << bit;
         std::fs::write(&path, &bytes).unwrap();
-        // Every byte is covered: head magic, data, index and the footer
+        // Every byte is covered: head magic, data and the footer
         // prefix are checksummed; a flip in the stored CRC itself disagrees
         // with the recomputed value; the tail magic is compared byte for
         // byte.

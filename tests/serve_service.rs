@@ -231,6 +231,29 @@ fn two_datasets_are_served_concurrently_without_lock_conflicts() {
     join.join().unwrap().unwrap();
 }
 
+/// A dataset's `pending_jobs` (queued or running), from its admin summary.
+fn pending_jobs(addr: SocketAddr, name: &str) -> i128 {
+    let summary = client::get(addr, &format!("/datasets/{name}")).unwrap();
+    assert_eq!(summary.status, 200, "{}", summary.text());
+    let value: serde_json::Value = serde_json::from_str(&summary.text()).unwrap();
+    match value.get("pending_jobs") {
+        Some(serde_json::Value::Int(n)) => *n,
+        other => panic!("no pending_jobs in {}: {other:?}", summary.text()),
+    }
+}
+
+/// Polls until `name` has `want` pending jobs.
+fn await_pending_jobs(addr: SocketAddr, name: &str, want: i128) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while pending_jobs(addr, name) != want {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "dataset {name} never reached {want} pending jobs"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+}
+
 /// With one worker and a per-dataset queue depth of 1, a dataset whose job
 /// slot is taken answers 503 + `Retry-After` instead of queueing without
 /// bound — and the queued work still completes.
@@ -244,9 +267,16 @@ fn full_per_dataset_queues_answer_503_with_retry_after() {
     };
     let (addr, shutdown, join) = spawn_server(&data_dir, config);
 
-    // A chunky dataset keeps the single worker busy well past the window
-    // in which the assertions below run.
-    let blocker_body = numeric_body(&quest(12_000, 150, 77));
+    // The blocker's job holds the single worker: its flat-file commit (and
+    // only its: the fault is scoped to its dataset directory) sleeps well
+    // past the few requests the assertions below take.
+    let blocker_dir = data_dir.join("blocker").display().to_string();
+    disassoc_faults::arm(
+        disassoc_store::failpoints::CLI_PUBLISH_SYNC,
+        disassoc_faults::Policy::delay(std::time::Duration::from_secs(2))
+            .when_path_contains(blocker_dir),
+    );
+    let blocker_body = numeric_body(&quest(300, 60, 77));
     assert_eq!(
         client::post(addr, "/datasets/blocker/records", &blocker_body)
             .unwrap()
@@ -264,14 +294,15 @@ fn full_per_dataset_queues_answer_503_with_retry_after() {
     let blocker = std::thread::spawn(move || {
         client::post(addr, "/datasets/blocker/anonymize?k=3&m=2", b"").unwrap()
     });
-    std::thread::sleep(std::time::Duration::from_millis(300));
+    await_pending_jobs(addr, "blocker", 1);
 
     // The small dataset's job queues behind the blocker (the only worker is
     // busy), occupying its one slot...
     let queued = std::thread::spawn(move || {
         client::post(addr, "/datasets/small/anonymize?k=3&m=2", b"").unwrap()
     });
-    std::thread::sleep(std::time::Duration::from_millis(200));
+    await_pending_jobs(addr, "small", 1);
+    assert_eq!(pending_jobs(addr, "blocker"), 1, "the blocker still runs");
 
     // ...so a second job on the same dataset is rejected immediately.
     let rejected = client::post(addr, "/datasets/small/anonymize?k=3&m=2", b"").unwrap();
@@ -281,6 +312,7 @@ fn full_per_dataset_queues_answer_503_with_retry_after() {
     // Backpressure rejects, it does not break: both accepted jobs finish.
     assert_eq!(blocker.join().unwrap().status, 200);
     assert_eq!(queued.join().unwrap().status, 200);
+    disassoc_faults::disarm(disassoc_store::failpoints::CLI_PUBLISH_SYNC);
 
     shutdown.shutdown();
     join.join().unwrap().unwrap();
