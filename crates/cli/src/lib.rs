@@ -576,10 +576,10 @@ impl Command {
                     "batch-size",
                     &get("batch-size").unwrap_or_else(|| "1024".into()),
                 )?,
-                memtable: parse_usize(
-                    "memtable",
-                    &get("memtable").unwrap_or_else(|| "8192".into()),
-                )?,
+                memtable: get("memtable")
+                    .map(|v| parse_usize("memtable", &v))
+                    .transpose()?
+                    .unwrap_or(StoreConfig::default().memtable_capacity),
                 compact: flags.contains_key("compact"),
                 obs: ObsOptions::from_flags(&flags),
             }),
@@ -1717,6 +1717,23 @@ mod tests {
         }
         let cmd = Command::parse(&args("store-info --store /tmp/s")).unwrap();
         assert!(matches!(cmd, Command::StoreInfo { .. }));
+    }
+
+    #[test]
+    fn ingest_memtable_defaults_to_the_store_config() {
+        let cmd = Command::parse(&args("ingest --input d.dat --store /tmp/s")).unwrap();
+        match cmd {
+            Command::Ingest { memtable, .. } => {
+                assert_eq!(memtable, StoreConfig::default().memtable_capacity);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn usage_states_the_default_batch_size() {
+        let stated = format!("({DEFAULT_BATCH_SIZE} records)");
+        assert!(USAGE.contains(&stated), "USAGE must say {stated}");
     }
 
     #[test]

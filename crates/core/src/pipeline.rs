@@ -453,13 +453,12 @@ impl<F: FnMut(BatchOutput)> ChunkSink for FnSink<F> {
 /// serialized and written **as they arrive**, so published-output residency
 /// is bounded by one batch — the whole-file JSON document is never held in
 /// memory.  Each top-level node is rendered straight from the typed model by
-/// the serde shim's JSON writer, already indented as an element of the
-/// document's `clusters` array, into one reused buffer that is then written
-/// out whole.
+/// the serde shim's compact JSON writer into one reused buffer that is then
+/// written out whole.
 ///
-/// The finished file is **byte-identical** to
-/// `serde_json::to_vec_pretty(&DisassociatedDataset)` of the equivalent
-/// collected output (regression-tested), so downstream consumers
+/// The finished file is compact JSON, **byte-identical** to
+/// `serde_json::to_vec(&DisassociatedDataset)` of the equivalent collected
+/// output (regression-tested), so downstream consumers
 /// (`disassoc reconstruct`, the metrics) cannot tell the difference.
 ///
 /// The header is written lazily and the `]}`-trailer only by
@@ -517,18 +516,13 @@ impl<W: Write> JsonChunksSink<W> {
         let out = &mut self.buf;
         out.clear();
         if self.clusters_written == 0 {
-            // The document prefix, matching `to_vec_pretty`'s two-space
-            // indentation of `DisassociatedDataset { k, m, clusters }`.
-            let prefix = format!(
-                "{{\n  \"k\": {},\n  \"m\": {},\n  \"clusters\": [\n    ",
-                self.k, self.m
-            );
+            // The document prefix of `DisassociatedDataset { k, m, clusters }`.
+            let prefix = format!("{{\"k\":{},\"m\":{},\"clusters\":[", self.k, self.m);
             out.extend_from_slice(prefix.as_bytes());
         } else {
-            out.extend_from_slice(b",\n    ");
+            out.push(b',');
         }
-        // An element of `clusters`, two containers deep.
-        serde_json::write_pretty_at(out, node, 2);
+        serde::Serialize::serialize(node, &mut serde_json::JsonWriter::compact(out));
         self.writer
             .write_all(out)
             .map_err(|e| SinkError::new("writing published chunks", e))?;
@@ -550,12 +544,9 @@ impl<W: Write> ChunkSink for JsonChunksSink<W> {
             return Ok(());
         }
         let tail = if self.clusters_written == 0 {
-            format!(
-                "{{\n  \"k\": {},\n  \"m\": {},\n  \"clusters\": []\n}}",
-                self.k, self.m
-            )
+            format!("{{\"k\":{},\"m\":{},\"clusters\":[]}}", self.k, self.m)
         } else {
-            "\n  ]\n}".to_owned()
+            "]}".to_owned()
         };
         self.writer
             .write_all(tail.as_bytes())
@@ -1240,10 +1231,18 @@ mod tests {
                     .unwrap();
             }
             let streamed = file.into_writer();
-            let collected = serde_json::to_vec_pretty(&collect.into_output().dataset).unwrap();
+            let collected = collect.into_output().dataset;
             assert_eq!(
-                streamed, collected,
+                streamed,
+                serde_json::to_vec(&collected).unwrap(),
                 "threads {threads} batch {batch}: streamed chunk file must be byte-identical"
+            );
+            // The pretty rendering of what was streamed is the collected
+            // output's pretty rendering: the compact file loses nothing.
+            let decoded: DisassociatedDataset = serde_json::from_slice(&streamed).unwrap();
+            assert_eq!(
+                serde_json::to_vec_pretty(&decoded).unwrap(),
+                serde_json::to_vec_pretty(&collected).unwrap()
             );
         }
     }
@@ -1259,7 +1258,7 @@ mod tests {
             .run()
             .unwrap();
         let written = sink.into_writer();
-        let expected = serde_json::to_vec_pretty(&DisassociatedDataset {
+        let expected = serde_json::to_vec(&DisassociatedDataset {
             k: config().k,
             m: config().m,
             clusters: Vec::new(),

@@ -722,7 +722,7 @@ fn chunks(state: &Arc<State>, name: &str, request: &Request) -> Result<Response,
                 ))),
                 Some(dataset) => Ok(Response::json(
                     200,
-                    serde_json::to_string_pretty(&dataset)
+                    serde_json::to_string(&dataset)
                         .map_err(|e| ServeError::Internal(e.to_string()))?,
                 )),
             }

@@ -83,7 +83,7 @@ impl ManifestFile {
     ) -> Result<()> {
         let tmp = dir.join(self.tmp);
         let mut bytes = Vec::new();
-        serde_json::write_pretty_at(&mut bytes, doc, 0);
+        doc.serialize(&mut serde_json::JsonWriter::compact(&mut bytes));
         write_synced(&tmp, &bytes, self.write, self.sync)?;
         commit_rename(&tmp, &dir.join(self.name), self.rename)?;
         for file in replaced {

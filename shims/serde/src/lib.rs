@@ -97,10 +97,8 @@ impl std::error::Error for Error {}
 ///
 /// Appends to a byte buffer, either compact or pretty-printed with
 /// `serde_json`'s layout (two-space indent, `"key": value`, empty
-/// containers as `[]`/`{}`). A pretty writer may start at any nesting depth,
-/// so a value can be rendered directly as an element of an enclosing
-/// document. Containers are written with `begin_*` / [`element`] or
-/// [`field`] / `end_*`.
+/// containers as `[]`/`{}`). Containers are written with `begin_*` /
+/// [`element`] or [`field`] / `end_*`.
 ///
 /// [`element`]: JsonWriter::element
 /// [`field`]: JsonWriter::field
@@ -124,13 +122,12 @@ impl<'a> JsonWriter<'a> {
         }
     }
 
-    /// A writer appending pretty JSON to `out`, indented as if the value
-    /// were nested `depth` containers deep (its first line is not indented).
-    pub fn pretty(out: &'a mut Vec<u8>, depth: usize) -> Self {
+    /// A writer appending pretty JSON to `out`.
+    pub fn pretty(out: &'a mut Vec<u8>) -> Self {
         JsonWriter {
             out,
             pretty: true,
-            depth,
+            depth: 0,
             has_value: false,
         }
     }
@@ -360,6 +357,8 @@ pub struct JsonReader<'a> {
     /// Whether the innermost container was just opened, so its first
     /// element or field comes without a comma.
     first: bool,
+    /// The number of containers opened and not yet closed.
+    depth: usize,
 }
 
 /// The syntax of one JSON number: `-? int (. frac)? ([eE] [+-]? exp)?`.
@@ -413,6 +412,7 @@ impl<'a> JsonReader<'a> {
             bytes,
             pos: 0,
             first: false,
+            depth: 0,
         }
     }
 
@@ -436,10 +436,16 @@ impl<'a> JsonReader<'a> {
     /// "expected `what`", or "unexpected end" at the end of the input.
     fn expected(&self, what: &str) -> Error {
         if self.pos == self.bytes.len() {
-            self.error("unexpected end of JSON input")
+            self.unexpected_end()
         } else {
             self.error(format_args!("expected {what}"))
         }
+    }
+
+    /// The error of input that ends inside a value: a truncated file fails
+    /// with this one message wherever the cut falls.
+    fn unexpected_end(&self) -> Error {
+        self.error_at(self.bytes.len(), "unexpected end of JSON input")
     }
 
     /// Skips whitespace and returns the next byte, without consuming it.
@@ -518,6 +524,7 @@ impl<'a> JsonReader<'a> {
         }
         self.pos += 1;
         self.first = true;
+        self.depth += 1;
         Ok(())
     }
 
@@ -529,6 +536,7 @@ impl<'a> JsonReader<'a> {
         match self.peek() {
             Some(b) if b == close => {
                 self.pos += 1;
+                self.depth -= 1;
                 Ok(false)
             }
             Some(b',') if !first => {
@@ -559,7 +567,11 @@ impl<'a> JsonReader<'a> {
     }
 
     fn literal(&mut self, lit: &[u8]) -> Result<(), Error> {
-        if !self.bytes[self.pos..].starts_with(lit) {
+        let rest = &self.bytes[self.pos..];
+        if lit.starts_with(rest) && rest.len() < lit.len() {
+            return Err(self.unexpected_end());
+        }
+        if !rest.starts_with(lit) {
             return Err(self.error("invalid literal"));
         }
         self.pos += lit.len();
@@ -635,6 +647,7 @@ impl<'a> JsonReader<'a> {
         match bytes.get(self.pos) {
             Some(b'0') => self.pos += 1,
             Some(b'1'..=b'9') => self.digits(),
+            None => return Err(self.unexpected_end()),
             _ => return Err(self.error_at(start, "invalid number")),
         }
         let int = &bytes[int_start..self.pos];
@@ -658,6 +671,11 @@ impl<'a> JsonReader<'a> {
             }
             decimal = true;
         }
+        // Inside a container a number is always followed by more input, so
+        // one that runs to the end may itself be cut short.
+        if self.depth > 0 && self.pos == bytes.len() {
+            return Err(self.unexpected_end());
+        }
         Ok(Number {
             start,
             negative,
@@ -674,13 +692,17 @@ impl<'a> JsonReader<'a> {
         }
     }
 
-    /// One or more digits, or an invalid-number error at `start`.
+    /// One or more digits, or an invalid-number error at `start` (unexpected
+    /// end when the input ends first).
     fn required_digits(&mut self, start: usize) -> Result<&'a [u8], Error> {
         let bytes: &'a [u8] = self.bytes;
         let from = self.pos;
         self.digits();
         if self.pos == from {
-            return Err(self.error_at(start, "invalid number"));
+            return Err(match from == bytes.len() {
+                true => self.unexpected_end(),
+                false => self.error_at(start, "invalid number"),
+            });
         }
         Ok(&bytes[from..self.pos])
     }
@@ -714,7 +736,7 @@ impl<'a> JsonReader<'a> {
                     out.push(c);
                 }
                 Some(_) => return Err(self.error("unescaped control character in string")),
-                None => return Err(self.error("unterminated string")),
+                None => return Err(self.unexpected_end()),
             }
         }
     }
@@ -738,7 +760,7 @@ impl<'a> JsonReader<'a> {
     fn escape(&mut self) -> Result<char, Error> {
         let at = self.pos;
         let Some(&esc) = self.bytes.get(at) else {
-            return Err(self.error("unterminated escape"));
+            return Err(self.unexpected_end());
         };
         self.pos += 1;
         Ok(match esc {
@@ -787,7 +809,7 @@ impl<'a> JsonReader<'a> {
         let digits = self
             .bytes
             .get(self.pos..self.pos + 4)
-            .ok_or_else(|| self.error("truncated `\\u` escape"))?;
+            .ok_or_else(|| self.unexpected_end())?;
         let code = digits.iter().try_fold(0, |code, &d| {
             char::from(d)
                 .to_digit(16)
@@ -1178,12 +1200,12 @@ mod tests {
     }
 
     #[test]
-    fn pretty_writer_starts_at_the_given_depth() {
+    fn pretty_writer_indents_nested_containers_by_two_spaces() {
         let mut out = Vec::new();
-        vec![vec![1u32], vec![]].serialize(&mut JsonWriter::pretty(&mut out, 1));
+        vec![vec![1u32], vec![]].serialize(&mut JsonWriter::pretty(&mut out));
         assert_eq!(
             String::from_utf8(out).unwrap(),
-            "[\n    [\n      1\n    ],\n    []\n  ]"
+            "[\n  [\n    1\n  ],\n  []\n]"
         );
     }
 

@@ -1,8 +1,8 @@
 //! Minimal offline stand-in for `serde_json` over the vendored serde shim.
 //!
 //! Supports the functions used in this workspace: [`to_string`],
-//! [`to_string_pretty`], [`to_vec`], [`to_vec_pretty`], [`write_pretty_at`],
-//! [`from_str`] and [`from_slice`]. The `to_*` functions are thin wrappers
+//! [`to_string_pretty`], [`to_vec`], [`to_vec_pretty`], [`from_str`] and
+//! [`from_slice`]. The `to_*` functions are thin wrappers
 //! over [`serde::JsonWriter`], which every `Serialize` impl writes JSON text
 //! into directly; `from_str` and `from_slice` hand a [`serde::JsonReader`]
 //! over the input to `T`'s `Deserialize` impl, which pulls its fields out
@@ -29,7 +29,7 @@ pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<Strin
 /// Serializes `value` as pretty-printed JSON bytes.
 pub fn to_vec_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error> {
     let mut out = Vec::new();
-    write_pretty_at(&mut out, value, 0);
+    value.serialize(&mut JsonWriter::pretty(&mut out));
     Ok(out)
 }
 
@@ -38,13 +38,6 @@ pub fn to_vec<T: serde::Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error>
     let mut out = Vec::new();
     value.serialize(&mut JsonWriter::compact(&mut out));
     Ok(out)
-}
-
-/// Appends `value` to `out` as pretty-printed JSON indented as if nested
-/// `depth` containers deep, so it can be spliced into an enclosing pretty
-/// document as one of its elements (the first line is not indented).
-pub fn write_pretty_at<T: serde::Serialize + ?Sized>(out: &mut Vec<u8>, value: &T, depth: usize) {
-    value.serialize(&mut JsonWriter::pretty(out, depth));
 }
 
 fn into_string(bytes: Vec<u8>) -> Result<String, Error> {
@@ -118,18 +111,6 @@ mod tests {
     }
 
     #[test]
-    fn write_pretty_at_matches_a_reindented_rendering() {
-        let v = vec![(1u32, vec!["a".to_string()]), (2, vec![])];
-        let mut out = b"prefix ".to_vec();
-        write_pretty_at(&mut out, &v, 2);
-        let expected = to_string_pretty(&v).unwrap().replace('\n', "\n    ");
-        assert_eq!(
-            String::from_utf8(out).unwrap(),
-            format!("prefix {expected}")
-        );
-    }
-
-    #[test]
     fn surrogate_pairs_decode_and_bad_low_halves_are_rejected() {
         assert_eq!(from_str::<String>(r#""\ud83d\ude00""#).unwrap(), "😀");
         assert_eq!(from_str::<String>(r#""\ud800x""#).unwrap(), "\u{FFFD}x");
@@ -166,6 +147,29 @@ mod tests {
         assert!(from_slice::<String>(b"\"\xc3\"").is_err());
         assert!(from_slice::<Vec<u32>>(b"[1,\xff]").is_err());
         assert_eq!(from_slice::<Vec<u32>>(b" [1, 2]\n").unwrap(), vec![1, 2]);
+    }
+
+    #[test]
+    fn input_cut_inside_a_value_is_an_unexpected_end() {
+        let cut = |text: &str| from_str::<Value>(text).unwrap_err().to_string();
+        for text in [
+            "[1, 2",
+            "[12",
+            "[1.",
+            "[1e",
+            "[-",
+            "[tr",
+            "{\"a\": nul",
+            "\"ab",
+            "\"a\\",
+            "\"\\u00",
+        ] {
+            let end = format!("unexpected end of JSON input at byte {}", text.len());
+            assert!(cut(text).ends_with(&end), "{text:?}: {}", cut(text));
+        }
+        assert_eq!(from_str::<u32>("12").unwrap(), 12);
+        assert!(cut("[1.x]").contains("invalid number"));
+        assert!(cut("[nux]").contains("invalid literal"));
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! values, and a nested joint cluster node of the published forest.
 //!
 //! The same strings pin the pull decoder: each decodes back to its value
-//! from both forms, every proper prefix of a publication is an error (never
-//! a panic), and `from_slice` agrees with `from_str` on a real publication.
+//! from both forms, every proper prefix of a publication is an "unexpected
+//! end" error (never a panic, wherever the cut falls), and `from_slice` agrees with `from_str` on a real publication.
 
 use datagen::{QuestConfig, QuestGenerator};
 use disassociation::pipeline::{DatasetSource, JsonChunksSink, Pipeline};
@@ -482,23 +482,6 @@ fn writer_output_matches_the_golden_strings() {
     }
 }
 
-/// `write_pretty_at` at element depth 2 is what `JsonChunksSink` writes for
-/// each top-level cluster node: the standalone rendering, re-indented by
-/// four spaces.
-#[test]
-fn depth_two_rendering_is_the_reindented_pretty_form() {
-    let (_, pretty, _) = GOLDEN
-        .iter()
-        .find(|(name, _, _)| *name == "joint_cluster_node")
-        .expect("the joint node case exists");
-    let mut out = Vec::new();
-    serde_json::write_pretty_at(&mut out, &joint_node(), 2);
-    assert_eq!(
-        String::from_utf8(out).unwrap(),
-        pretty.replace('\n', "\n    ")
-    );
-}
-
 /// Decodes a golden text of case `name` as `T` and compares its `Debug`
 /// rendering with `expected`'s (so a NaN matches a NaN).
 fn assert_decodes<T: Deserialize + std::fmt::Debug>(name: &str, expected: T) {
@@ -629,7 +612,13 @@ fn every_proper_prefix_of_a_publication_is_an_error() {
         );
         for end in 0..text.len() {
             let prefix = serde_json::from_slice::<DisassociatedDataset>(&text[..end]);
-            assert!(prefix.is_err(), "a {end}-byte prefix decoded");
+            let message = prefix.expect_err(&format!("a {end}-byte prefix decoded"));
+            assert!(
+                message
+                    .to_string()
+                    .ends_with(&format!("unexpected end of JSON input at byte {end}")),
+                "a {end}-byte prefix: {message}"
+            );
         }
     }
 }

@@ -291,7 +291,7 @@ fn thread_count_and_entry_point_do_not_change_the_published_bytes() {
         .sink(&mut collect)
         .run()
         .unwrap();
-    let collected = serde_json::to_vec_pretty(&collect.into_output().dataset).unwrap();
+    let collected = serde_json::to_vec(&collect.into_output().dataset).unwrap();
     assert_eq!(
         serial, collected,
         "the collecting sink must publish identically"

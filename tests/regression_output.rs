@@ -2,13 +2,16 @@
 //! never *results*.
 //!
 //! The pinned fixture and hashes below were produced by the pre-dense-engine
-//! (Itemset-based) implementation.  Any engine change that alters a greedy
-//! accept/reject decision, a projection, a shuffle consumption order, or the
-//! JSON serialization shows up here as a byte difference.
+//! (Itemset-based) implementation, which published pretty-printed JSON.
+//! The publication is compact JSON now, so those pins are checked against
+//! the pretty re-rendering of the decoded publication, and a second set of
+//! pins covers the compact bytes themselves.  Any engine change that alters
+//! a greedy accept/reject decision, a projection, a shuffle consumption
+//! order, or the JSON serialization shows up here as a byte difference.
 
 use datagen::{QuestConfig, QuestGenerator};
 use disassociation::pipeline::{DatasetSource, JsonChunksSink, Pipeline};
-use disassociation::DisassociationConfig;
+use disassociation::{DisassociatedDataset, DisassociationConfig};
 use transact::{Dataset, Record, TermId};
 
 /// FNV-1a 64-bit over a byte slice (enough to pin a deterministic artifact;
@@ -45,6 +48,14 @@ fn published_bytes(dataset: &Dataset, config: DisassociationConfig) -> Vec<u8> {
     let bytes = std::fs::read(&path).expect("reading the published chunks");
     std::fs::remove_dir_all(&dir).ok();
     bytes
+}
+
+/// The pretty (two-space) rendering of a decoded publication: the form the
+/// engine published before the compact encoding, so the original pins hold.
+fn pretty(published: &[u8]) -> Vec<u8> {
+    let dataset: DisassociatedDataset =
+        serde_json::from_slice(published).expect("the publication decodes");
+    serde_json::to_vec_pretty(&dataset).expect("re-rendering the publication")
 }
 
 fn quest(records: usize, domain: usize, seed: u64) -> Dataset {
@@ -89,8 +100,17 @@ fn figure2_output_is_byte_identical_to_fixture() {
     ))
     .expect("reading the committed fixture");
     assert_eq!(
-        bytes, fixture,
+        pretty(&bytes),
+        fixture,
         "published figure-2 chunks changed — the engine must change speed, not results"
+    );
+    let fixture: DisassociatedDataset =
+        serde_json::from_slice(&fixture).expect("the fixture decodes");
+    assert_eq!(bytes, serde_json::to_vec(&fixture).unwrap());
+    assert_eq!(
+        fnv64(&bytes),
+        0x69f8_6690_3040_68f4,
+        "figure-2 compact publication bytes changed"
     );
 }
 
@@ -107,9 +127,14 @@ fn quest_400_output_hash_is_pinned() {
         },
     );
     assert_eq!(
-        fnv64(&bytes),
+        fnv64(&pretty(&bytes)),
         0xbd69_c19e_6a7d_eda0,
         "quest-400 published bytes changed"
+    );
+    assert_eq!(
+        fnv64(&bytes),
+        0x5222_b28e_c27f_559a,
+        "quest-400 compact publication bytes changed"
     );
 }
 
@@ -126,8 +151,13 @@ fn quest_2000_output_hash_is_pinned() {
         },
     );
     assert_eq!(
-        fnv64(&bytes),
+        fnv64(&pretty(&bytes)),
         0x003d_39d1_7d98_2d14,
         "quest-2000 published bytes changed"
+    );
+    assert_eq!(
+        fnv64(&bytes),
+        0xe343_238f_3f2c_0d98,
+        "quest-2000 compact publication bytes changed"
     );
 }

@@ -95,13 +95,13 @@ fn publish_bytes(source: &mut dyn RecordSource) -> Vec<u8> {
         .sink(&mut sink)
         .run()
         .unwrap();
-    serde_json::to_vec_pretty(&sink.into_output().dataset).unwrap()
+    serde_json::to_vec(&sink.into_output().dataset).unwrap()
 }
 
 fn publish_all_bytes(pipeline: &mut IncrementalPipeline) -> Vec<u8> {
     let mut sink = CollectSink::for_config(&config());
     pipeline.publish_all(&mut sink).unwrap();
-    serde_json::to_vec_pretty(&sink.into_output().dataset).unwrap()
+    serde_json::to_vec(&sink.into_output().dataset).unwrap()
 }
 
 #[test]
@@ -131,10 +131,7 @@ fn store_backed_output_is_byte_identical_to_in_memory_output() {
     let monolithic = Disassociator::try_new(config())
         .expect("valid disassociation configuration")
         .anonymize(&dataset);
-    assert_eq!(
-        single,
-        serde_json::to_vec_pretty(&monolithic.dataset).unwrap()
-    );
+    assert_eq!(single, serde_json::to_vec(&monolithic.dataset).unwrap());
 
     // The incremental build runs on the same batch driver: at any thread
     // budget it publishes the same bytes, and one append lands the same.
