@@ -5,11 +5,14 @@
 //! and publications written before that carry two-space indentation; the
 //! readers ignore whitespace, so such a store must still open, append and
 //! republish exactly as a compact one does, and `disassoc reconstruct` must
-//! read a pretty publication as it reads its compact rendering.
+//! read a pretty publication as it reads its compact rendering.  A chunk
+//! directory whose every file is pretty answers term-filtered reads compact.
 
 use disassoc_cli::Command;
+use disassoc_store::ChunkDir;
 use disassociation::DisassociatedDataset;
 use std::path::{Path, PathBuf};
+use transact::TermId;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -95,6 +98,23 @@ fn a_store_and_chunk_dir_written_pretty_open_append_and_republish() {
     let published: DisassociatedDataset =
         serde_json::from_slice(&read("pretty", "second.chunks.json")).unwrap();
     assert_eq!(published.total_records(), 680);
+
+    // With every file of the chunk dir rewritten pretty, term-filtered
+    // reads still answer compact: the filtered combined dataset, encoded.
+    for entry in std::fs::read_dir(pretty.join("chunks")).unwrap() {
+        prettify(&entry.unwrap().path());
+    }
+    let chunks = ChunkDir::open(pretty.join("chunks")).unwrap();
+    let combined = chunks.combined_dataset().unwrap().unwrap();
+    assert_eq!(combined, published);
+    let terms = combined.all_terms();
+    let absent = TermId::new(terms.iter().map(|t| t.0).max().unwrap() + 1);
+    for term in terms.iter().copied().chain([absent]) {
+        let mut expected = combined.clone();
+        expected.clusters.retain(|c| c.mentions_term(term));
+        let body = chunks.filtered_json(term).unwrap().unwrap();
+        assert_eq!(body, serde_json::to_vec(&expected).unwrap(), "term {term}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -265,20 +265,30 @@ impl ClusterNode {
     }
 
     /// Whether `term` appears anywhere in this subtree: in a record-chunk
-    /// domain, a shared-chunk domain, or a term chunk.  Early-exit walk (no
-    /// set materialization) — the published-read filter of the service layer
-    /// (`GET /datasets/{name}/chunks?term=`) runs this per streamed cluster.
+    /// domain, a shared-chunk domain, or a term chunk.
     pub fn mentions_term(&self, term: TermId) -> bool {
+        self.any_term(&mut |t| t == term)
+    }
+
+    /// Walks every term this subtree mentions — term chunks, record-chunk
+    /// domains, shared-chunk domains, recursively through joint children —
+    /// until `hit` returns true (a term may be visited more than once).
+    /// The one definition of "mentions": [`Self::mentions_term`] and the
+    /// term postings of the published-read index (`GET
+    /// /datasets/{name}/chunks?term=`) both walk it.
+    pub fn any_term<F: FnMut(TermId) -> bool>(&self, hit: &mut F) -> bool {
         match self {
             ClusterNode::Simple(c) => {
-                c.term_chunk.contains(term)
-                    || c.record_chunks.iter().any(|rc| rc.domain.contains(&term))
+                c.term_chunk.terms.iter().any(|&t| hit(t))
+                    || c.record_chunks
+                        .iter()
+                        .any(|rc| rc.domain.iter().any(|&t| hit(t)))
             }
             ClusterNode::Joint(j) => {
                 j.shared_chunks
                     .iter()
-                    .any(|s| s.chunk.domain.contains(&term))
-                    || j.children.iter().any(|child| child.mentions_term(term))
+                    .any(|s| s.chunk.domain.iter().any(|&t| hit(t)))
+                    || j.children.iter().any(|child| child.any_term(hit))
             }
         }
     }

@@ -255,6 +255,7 @@ pub mod counters {
         STORE_CHUNKS_STAGED => ("store.chunks_staged", "Chunk batch files staged for publication");
         STORE_CHUNKS_SKIPPED => ("store.chunks_skipped", "Chunk batch stagings skipped as byte-identical to the published file");
         STORE_CHUNK_COMMITS => ("store.chunk_commits", "Two-phase chunk publications committed");
+        STORE_CHUNK_INDEX_LOADS => ("store.chunk_index_loads", "Committed chunk batch files decoded into the term-filtered read index");
         // --- incremental append -------------------------------------------
         INCR_APPENDS => ("incr.appends", "Incremental append operations");
         INCR_ROUTED_RECORDS => ("incr.routed_records", "Appended records routed into an existing cluster slot");

@@ -14,7 +14,7 @@
 //! | `POST /datasets/{name}/records` | ingest numeric-transaction lines into the dataset's WAL+memtable store (acknowledged = survives a process crash; the WAL is not fsynced per request, so not power loss) |
 //! | `POST /datasets/{name}/anonymize?k=&m=` | full re-anonymization through [`disassociation::Pipeline`], atomically republishing the chunk dir and flat publication |
 //! | `POST /datasets/{name}/append?k=&m=` | incremental append through [`disassoc_store::publish::AppendJob`] (the CLI `append` protocol); only dirty chunks are republished |
-//! | `GET /datasets/{name}/chunks[?term=]` | the publication — flat-file bytes verbatim, or term-filtered via the committed chunk batches |
+//! | `GET /datasets/{name}/chunks[?term=]` | the publication — flat-file bytes verbatim, or the clusters mentioning the term, copied from the chunk dir's in-memory read index (about the compact publication's size per served dataset, held while the daemon runs) |
 //! | `GET /datasets` · `GET /datasets/{name}` | admin: dataset list / single summary |
 //! | `GET /metrics` · `GET /healthz` | admin: [`disassoc_obs`] counter snapshot as JSON / liveness |
 //!

@@ -691,41 +691,26 @@ fn append_job(
 
 fn chunks(state: &Arc<State>, name: &str, request: &Request) -> Result<Response, ServeError> {
     let handle = require_dataset(state, name)?;
+    let not_yet = || ServeError::NotFound(format!("dataset {name:?} has not been anonymized yet"));
     match request.query_param("term") {
         // The full publication: the flat file's bytes verbatim.  The file
         // is replaced only by atomic rename, so an unlocked read always
         // sees one complete publication or none.
         None => match std::fs::read(handle.publication_path()) {
-            Ok(bytes) => Ok(Response {
-                status: 200,
-                content_type: "application/json",
-                body: bytes,
-                extra_headers: Vec::new(),
-            }),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Err(ServeError::NotFound(
-                format!("dataset {name:?} has not been anonymized yet"),
-            )),
+            Ok(bytes) => Ok(Response::json(200, bytes)),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Err(not_yet()),
             Err(e) => Err(ServeError::from(e)),
         },
-        // Term-filtered: stream the committed chunk batches and keep only
-        // clusters mentioning the term (the store-layer read path).
+        // Term-filtered: the matching clusters' compact bytes, copied from
+        // the chunk dir's in-memory read index (each committed batch file
+        // is decoded once, on the first filtered read that reaches it).
         Some(raw) => {
             let term: u32 = raw.parse().map_err(|_| {
                 ServeError::BadRequest(format!("malformed term={raw:?} (want a term id)"))
             })?;
-            let filtered = handle.with_publication(|chunk_dir| {
-                Ok(chunk_dir.combined_filtered(TermId::new(term))?)
-            })?;
-            match filtered {
-                None => Err(ServeError::NotFound(format!(
-                    "dataset {name:?} has not been anonymized yet"
-                ))),
-                Some(dataset) => Ok(Response::json(
-                    200,
-                    serde_json::to_string(&dataset)
-                        .map_err(|e| ServeError::Internal(e.to_string()))?,
-                )),
-            }
+            let body = handle
+                .with_publication(|chunk_dir| Ok(chunk_dir.filtered_json(TermId::new(term))?))?;
+            Ok(Response::json(200, body.ok_or_else(not_yet)?))
         }
     }
 }

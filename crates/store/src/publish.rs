@@ -21,6 +21,17 @@
 //! makes "clean chunks were not rewritten" directly observable from the
 //! file system.
 //!
+//! Term-filtered reads ([`ChunkDir::filtered_json`], the daemon's
+//! `GET /datasets/{name}/chunks?term=`) are served from an in-memory read
+//! index keyed by committed file name: per batch, its `k`/`m`, the compact
+//! JSON of every top-level cluster in one buffer, and term → cluster
+//! postings.  A batch is decoded into the index on the first filtered read
+//! that reaches it (`store.chunk_index_loads`); after that a read only
+//! copies the matching clusters' bytes.  File names carry the generation
+//! and a committed file is never rewritten, so an entry cannot go stale;
+//! a commit drops the entries of the files it replaced.  The index costs
+//! about the compact publication's size, held as long as the `ChunkDir`.
+//!
 //! The module also holds the publication protocol the CLI and the daemon
 //! share: [`publish_flat_file`] (the single-file `.chunks.json`
 //! publication, optionally teed with a [`ChunkDir`]: stage as `.partial`,
@@ -33,14 +44,16 @@ use crate::commit::{self, ManifestFile};
 use crate::failpoints::{self, CLI_PUBLISH_RENAME, CLI_PUBLISH_SYNC};
 use crate::{Result, Store, StoreError};
 use disassoc_obs::metrics::counters as obs_counters;
-use disassociation::model::{ClusterNode, DisassociatedDataset};
+use disassociation::model::DisassociatedDataset;
 use disassociation::pipeline::{JsonChunksSink, MultiSink};
 use disassociation::{
     AppendOptions, AppendOutcome, BatchOutput, ChunkSink, DisassociationConfig, Pipeline, SinkError,
 };
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::{Entry, HashMap};
 use std::path::{Path, PathBuf};
-use transact::Record;
+use std::sync::{Mutex, PoisonError};
+use transact::{Record, TermId};
 
 /// File name of the chunk manifest inside a publication directory.
 pub const CHUNK_MANIFEST_FILE: &str = "CHUNKS.json";
@@ -258,6 +271,75 @@ pub struct ChunkDir {
     dir: PathBuf,
     manifest: ChunkManifest,
     staged: Vec<ChunkEntry>,
+    /// The read index of committed batch files, keyed by file name; filled
+    /// by the first filtered read of each.  Its only updates are inserting
+    /// a fully built entry and dropping entries, so a guard poisoned by a
+    /// panic elsewhere still holds a valid index and is recovered.
+    index: Mutex<HashMap<String, BatchIndex>>,
+}
+
+/// One committed batch file as the term-filtered read serves it.
+#[derive(Debug)]
+struct BatchIndex {
+    k: usize,
+    m: usize,
+    /// The compact JSON of every top-level cluster, back to back.
+    bytes: Vec<u8>,
+    /// End offset in `bytes` of each cluster.
+    ends: Vec<usize>,
+    /// Term → ascending indices of the clusters that mention it, by
+    /// `ClusterNode::any_term` (the walk of `mentions_term`).
+    postings: HashMap<TermId, Vec<usize>>,
+}
+
+impl BatchIndex {
+    fn build(dataset: &DisassociatedDataset) -> BatchIndex {
+        let mut bytes = Vec::new();
+        let mut ends = Vec::with_capacity(dataset.clusters.len());
+        let mut postings: HashMap<TermId, Vec<usize>> = HashMap::new();
+        for (i, cluster) in dataset.clusters.iter().enumerate() {
+            cluster.serialize(&mut serde_json::JsonWriter::compact(&mut bytes));
+            ends.push(bytes.len());
+            cluster.any_term(&mut |term| {
+                let list = postings.entry(term).or_default();
+                if list.last() != Some(&i) {
+                    list.push(i);
+                }
+                false
+            });
+        }
+        BatchIndex {
+            k: dataset.k,
+            m: dataset.m,
+            bytes,
+            ends,
+            postings,
+        }
+    }
+
+    /// Appends the clusters that mention `term` to `out`, each preceded by
+    /// a `,` unless `out` ends with the opening `[`.
+    fn write_matching(&self, term: TermId, out: &mut Vec<u8>) {
+        for &i in self.postings.get(&term).into_iter().flatten() {
+            let start = if i == 0 { 0 } else { self.ends[i - 1] };
+            if out.last() != Some(&b'[') {
+                out.push(b',');
+            }
+            out.extend_from_slice(&self.bytes[start..self.ends[i]]);
+        }
+    }
+}
+
+/// Checks that `entry` was published under the (k, m) of the batches
+/// before it.
+fn same_params(entry: &ChunkEntry, found: (usize, usize), expected: (usize, usize)) -> Result<()> {
+    if found == expected {
+        return Ok(());
+    }
+    Err(StoreError::corrupt(format!(
+        "batch {} was published with (k={}, m={}), expected (k={}, m={})",
+        entry.batch_index, found.0, found.1, expected.0, expected.1
+    )))
 }
 
 impl ChunkDir {
@@ -276,6 +358,7 @@ impl ChunkDir {
             dir,
             manifest,
             staged: Vec::new(),
+            index: Mutex::default(),
         })
     }
 
@@ -320,46 +403,67 @@ impl ChunkDir {
     }
 
     /// The combined published dataset across all committed batches, in
-    /// batch order.  Returns `None` when nothing is published.
+    /// batch order; every batch must have been published under the same
+    /// (k, m).  Returns `None` when nothing is published.
     pub fn combined_dataset(&self) -> Result<Option<DisassociatedDataset>> {
-        self.combined(|_| true)
-    }
-
-    /// The combined published dataset restricted to clusters that mention
-    /// `term` (in a record-chunk domain, shared-chunk domain, or term
-    /// chunk), streamed batch file by batch file — the service layer's
-    /// term-filtered read path.  Peak residency is one batch, not the whole
-    /// publication.  Returns `None` when nothing is published.
-    pub fn combined_filtered(
-        &self,
-        term: transact::TermId,
-    ) -> Result<Option<DisassociatedDataset>> {
-        self.combined(|node| node.mentions_term(term))
-    }
-
-    /// One scan over the committed batch files, keeping the clusters `keep`
-    /// accepts; every batch must have been published under the same
-    /// (k, m).
-    fn combined(
-        &self,
-        keep: impl Fn(&ClusterNode) -> bool,
-    ) -> Result<Option<DisassociatedDataset>> {
         let mut combined: Option<DisassociatedDataset> = None;
         for entry in &self.manifest.batches {
-            let mut batch = self.read_entry(entry)?.dataset;
-            batch.clusters.retain(&keep);
+            let batch = self.read_entry(entry)?.dataset;
             match &mut combined {
                 None => combined = Some(batch),
-                Some(d) if (d.k, d.m) != (batch.k, batch.m) => {
-                    return Err(StoreError::corrupt(format!(
-                        "batch {} was published with (k={}, m={}), expected (k={}, m={})",
-                        entry.batch_index, batch.k, batch.m, d.k, d.m
-                    )));
+                Some(d) => {
+                    same_params(entry, (batch.k, batch.m), (d.k, d.m))?;
+                    d.clusters.extend(batch.clusters);
                 }
-                Some(d) => d.clusters.extend(batch.clusters),
             }
         }
         Ok(combined)
+    }
+
+    /// [`Self::filtered_json`], decoded.
+    pub fn combined_filtered(&self, term: TermId) -> Result<Option<DisassociatedDataset>> {
+        self.filtered_json(term)?
+            .map(|bytes| {
+                serde_json::from_slice(&bytes).map_err(|e| StoreError::corrupt(e.to_string()))
+            })
+            .transpose()
+    }
+
+    /// The compact JSON of the combined published dataset restricted to
+    /// the clusters that mention `term` (in a record-chunk domain,
+    /// shared-chunk domain, or term chunk) — the service layer's
+    /// term-filtered read path.  Byte-identical to encoding
+    /// [`Self::combined_dataset`] with the other clusters dropped, but
+    /// written from the read index: only batch files not yet indexed are
+    /// read and decoded.  Returns `None` when nothing is published.
+    pub fn filtered_json(&self, term: TermId) -> Result<Option<Vec<u8>>> {
+        let mut index = self.index.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut expected = None;
+        let mut out = Vec::new();
+        for entry in &self.manifest.batches {
+            let batch = match index.entry(entry.file.clone()) {
+                Entry::Occupied(hit) => hit.into_mut(),
+                Entry::Vacant(slot) => {
+                    let chunks = self.read_entry(entry)?;
+                    obs_counters::STORE_CHUNK_INDEX_LOADS.inc();
+                    slot.insert(BatchIndex::build(&chunks.dataset))
+                }
+            };
+            match expected {
+                None => {
+                    expected = Some((batch.k, batch.m));
+                    out.extend_from_slice(
+                        format!("{{\"k\":{},\"m\":{},\"clusters\":[", batch.k, batch.m).as_bytes(),
+                    );
+                }
+                Some(expected) => same_params(entry, (batch.k, batch.m), expected)?,
+            }
+            batch.write_matching(term, &mut out);
+        }
+        Ok(expected.map(|_| {
+            out.extend_from_slice(b"]}");
+            out
+        }))
     }
 
     fn file_name(batch_index: usize, generation: u64) -> String {
@@ -433,6 +537,11 @@ impl ChunkDir {
         next.batches.sort_by_key(|b| b.batch_index);
         FILE.replace(&self.dir, &next, replaced)?;
         self.manifest = next;
+        let batches = &self.manifest.batches;
+        self.index
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .retain(|file, _| batches.iter().any(|b| &b.file == file));
         obs_counters::STORE_CHUNK_COMMITS.inc();
         Ok(())
     }
@@ -636,6 +745,107 @@ mod tests {
                 }
                 other => panic!("expected a corrupt-file error, got {other:?}"),
             }
+            assert!(indexed(&chunks).is_empty(), "a failed load caches nothing");
+        }
+        std::fs::write(&path, good).unwrap();
+        let hits = chunks.combined_filtered(TermId::new(10)).unwrap().unwrap();
+        assert_eq!(hits, output(10).dataset);
+        assert_eq!(indexed(&chunks), committed_files(&chunks));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The files the read index holds, sorted.
+    fn indexed(chunks: &ChunkDir) -> Vec<String> {
+        let mut files: Vec<String> = chunks.index.lock().unwrap().keys().cloned().collect();
+        files.sort();
+        files
+    }
+
+    fn committed_files(chunks: &ChunkDir) -> Vec<String> {
+        let mut files: Vec<String> = chunks
+            .manifest()
+            .batches
+            .iter()
+            .map(|b| b.file.clone())
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn filtered_reads_serve_the_old_publication_until_a_commit_succeeds() {
+        let dir = tmpdir("coherent");
+        let mut chunks = ChunkDir::open(&dir).unwrap();
+        chunks.accept(batch(0, 10)).unwrap();
+        chunks.accept(batch(1, 20)).unwrap();
+        chunks.finish().unwrap();
+        let read = |chunks: &ChunkDir, term: u32| {
+            let body = chunks.filtered_json(TermId::new(term)).unwrap().unwrap();
+            String::from_utf8(body).unwrap()
+        };
+        let old = (read(&chunks, 10), read(&chunks, 11));
+        assert!(old.0.contains("[10]"), "{}", old.0);
+        assert_eq!(old.1, r#"{"k":2,"m":2,"clusters":[]}"#);
+
+        // Staged, not committed: the reads do not see it.
+        chunks.accept(batch(0, 11)).unwrap();
+        assert_eq!((read(&chunks, 10), read(&chunks, 11)), old);
+
+        // The manifest rename fails: the old publication stays served.
+        let scope = dir.display().to_string();
+        disassoc_faults::arm(
+            failpoints::PUBLISH_COMMIT_RENAME,
+            disassoc_faults::Policy::error().when_path_contains(scope),
+        );
+        let failed = chunks.finish();
+        disassoc_faults::disarm(failpoints::PUBLISH_COMMIT_RENAME);
+        assert!(failed.is_err());
+        assert_eq!((read(&chunks, 10), read(&chunks, 11)), old);
+        assert_eq!(indexed(&chunks), committed_files(&chunks));
+
+        // The retried commit is what the next read serves.
+        chunks.accept(batch(0, 11)).unwrap();
+        chunks.finish().unwrap();
+        assert_eq!(read(&chunks, 10), old.1);
+        assert_eq!(read(&chunks, 11), old.0.replace("10", "11"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn batches_published_under_different_params_fail_every_read_alike() {
+        let dir = tmpdir("params");
+        let mut chunks = ChunkDir::open(&dir).unwrap();
+        let mut other = batch(1, 20);
+        other.output.dataset.k = 3;
+        chunks.accept(batch(0, 10)).unwrap();
+        chunks.accept(other).unwrap();
+        chunks.finish().unwrap();
+        let expected = "corrupt store data: batch 1 was published with (k=3, m=2), \
+                        expected (k=2, m=2)";
+        let combined = chunks.combined_dataset().unwrap_err().to_string();
+        let filtered = chunks.filtered_json(TermId::new(10)).unwrap_err();
+        assert_eq!(
+            (combined.as_str(), filtered.to_string().as_str()),
+            (expected, expected)
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_read_index_holds_exactly_the_committed_files_over_republishes() {
+        let dir = tmpdir("republishes");
+        let mut chunks = ChunkDir::open(&dir).unwrap();
+        for i in 0..3 {
+            chunks.accept(batch(i, 10 + i as u32)).unwrap();
+        }
+        chunks.finish().unwrap();
+        for round in 0..20u32 {
+            let tag = 100 + round;
+            chunks.accept(batch(round as usize % 3, tag)).unwrap();
+            chunks.finish().unwrap();
+            let hits = chunks.combined_filtered(TermId::new(tag)).unwrap().unwrap();
+            assert_eq!(hits.clusters.len(), 1, "round {round}");
+            assert_eq!(indexed(&chunks), committed_files(&chunks), "round {round}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

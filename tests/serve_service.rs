@@ -10,10 +10,11 @@
 use datagen::{QuestConfig, QuestGenerator};
 use disassoc_cli::Command;
 use disassoc_serve::{client, ServeConfig, Server, ShutdownHandle};
+use disassociation::DisassociatedDataset;
 use std::io::{Read, Write};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use transact::Dataset;
+use transact::{Dataset, TermId};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("disassoc_serve_it_{tag}_{}", std::process::id()));
@@ -81,6 +82,32 @@ fn served_publication_is_byte_identical_to_the_cli_batch_path() {
     assert!(anon.text().contains("\"batches\":6"), "{}", anon.text());
     let fetched = client::get(addr, "/datasets/d/chunks").unwrap();
     assert_eq!(fetched.status, 200);
+
+    // A term-filtered read answers the publication's clusters that mention
+    // the term, compact, and the read index's batch loads show on /metrics.
+    let published: DisassociatedDataset = serde_json::from_slice(&fetched.body).unwrap();
+    let terms = published.all_terms();
+    let absent = TermId::new(terms.iter().map(|t| t.0).max().unwrap() + 1);
+    for term in terms.iter().copied().chain([absent]) {
+        let mut expected = published.clone();
+        expected.clusters.retain(|c| c.mentions_term(term));
+        let read = client::get(addr, &format!("/datasets/d/chunks?term={}", term.0)).unwrap();
+        assert_eq!(read.status, 200);
+        assert_eq!(
+            read.body,
+            serde_json::to_vec(&expected).unwrap(),
+            "term {term}"
+        );
+    }
+    let metrics: serde_json::Value =
+        serde_json::from_slice(&client::get(addr, "/metrics").unwrap().body).unwrap();
+    let loads = metrics
+        .get("counters")
+        .and_then(|c| c.get("store.chunk_index_loads"));
+    assert!(
+        matches!(loads, Some(serde_json::Value::Int(n)) if *n >= 6),
+        "{loads:?}"
+    );
     shutdown.shutdown();
     join.join().unwrap().unwrap();
 
