@@ -1,10 +1,10 @@
 //! # disassoc-bench — experiment harness
 //!
 //! One runner per table/figure of the paper's evaluation (Section 7), plus
-//! Criterion micro-benchmarks.  Each runner is a binary under `src/bin/`
-//! named after the figure it regenerates (`fig07a_real_loss`,
-//! `fig11b_vs_apriori`, …); `run_all_experiments` executes every runner and
-//! collects the reports under `experiments/out/`.
+//! the core, store, scenario and torture benches.  Each runner is a binary
+//! under `src/bin/` named after the figure it regenerates
+//! (`fig07a_real_loss`, `fig11b_vs_apriori`, …); `run_all_experiments`
+//! executes every runner and collects the reports under `experiments/out/`.
 //!
 //! The paper's full-size workloads (up to 10M synthetic records, the
 //! 515k-record POS log) are reachable with `--scale 1`, but the default

@@ -85,8 +85,15 @@ impl FpTree {
 }
 
 /// Mines all itemsets with support ≥ `min_support` and size ≤ `max_len`
-/// using FP-growth.  Produces exactly the same result set as
-/// [`crate::mine_frequent_apriori`].
+/// using FP-growth.
+///
+/// * `transactions` — item lists; items inside one transaction are treated
+///   with set semantics (duplicates ignored).
+/// * `min_support` — absolute support threshold (number of transactions);
+///   0 is treated as 1.
+/// * `max_len` — maximum itemset size to mine (0 means "no itemsets").
+///
+/// Results are sorted by item list.
 pub fn mine_frequent_fpgrowth(
     transactions: &[Vec<u32>],
     min_support: u64,
@@ -217,7 +224,7 @@ fn mine_tree(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apriori::{mine_frequent_apriori, mine_frequent_bruteforce};
+    use crate::oracle::mine_frequent_bruteforce;
 
     fn tx(data: &[&[u32]]) -> Vec<Vec<u32>> {
         data.iter().map(|t| t.to_vec()).collect()
@@ -229,12 +236,30 @@ mod tests {
     }
 
     #[test]
-    fn textbook_example_matches_apriori() {
+    fn textbook_example() {
+        let t = tx(&[&[1, 2, 3], &[1, 2], &[1, 3], &[2, 3], &[1, 2, 3, 4]]);
+        let map: HashMap<Vec<u32>, u64> = mine_frequent_fpgrowth(&t, 3, 3)
+            .into_iter()
+            .map(|f| (f.items, f.support))
+            .collect();
+        assert_eq!(map[&vec![1]], 4);
+        assert_eq!(map[&vec![2]], 4);
+        assert_eq!(map[&vec![3]], 4);
+        assert_eq!(map[&vec![1, 2]], 3);
+        assert_eq!(map[&vec![1, 3]], 3);
+        assert_eq!(map[&vec![2, 3]], 3);
+        assert!(!map.contains_key(&vec![4]));
+        assert!(!map.contains_key(&vec![1, 2, 3]), "support 2 < 3");
+        assert_eq!(map.len(), 6);
+    }
+
+    #[test]
+    fn textbook_example_matches_bruteforce() {
         let t = tx(&[&[1, 2, 3], &[1, 2], &[1, 3], &[2, 3], &[1, 2, 3, 4]]);
         for min_support in 1..=4 {
             let fp = normalized(mine_frequent_fpgrowth(&t, min_support, 4));
-            let ap = normalized(mine_frequent_apriori(&t, min_support, 4));
-            assert_eq!(fp, ap, "min_support={min_support}");
+            let brute = normalized(mine_frequent_bruteforce(&t, min_support, 4));
+            assert_eq!(fp, brute, "min_support={min_support}");
         }
     }
 
@@ -254,10 +279,27 @@ mod tests {
     }
 
     #[test]
+    fn max_len_limits_itemset_size() {
+        let t = tx(&[&[1, 2, 3], &[1, 2, 3], &[1, 2, 3]]);
+        let result = mine_frequent_fpgrowth(&t, 2, 2);
+        assert!(result.iter().all(|f| f.len() <= 2));
+        assert!(result.iter().any(|f| f.len() == 2));
+        let result3 = mine_frequent_fpgrowth(&t, 2, 3);
+        assert!(result3.iter().any(|f| f.len() == 3));
+    }
+
+    #[test]
     fn empty_and_infrequent_inputs() {
         assert!(mine_frequent_fpgrowth(&[], 1, 3).is_empty());
         let t = tx(&[&[1], &[2], &[3]]);
         assert!(mine_frequent_fpgrowth(&t, 2, 3).is_empty());
+    }
+
+    #[test]
+    fn empty_inputs_yield_nothing() {
+        assert!(mine_frequent_fpgrowth(&[], 1, 3).is_empty());
+        assert!(mine_frequent_fpgrowth(&tx(&[&[1]]), 1, 0).is_empty());
+        assert!(mine_frequent_fpgrowth(&tx(&[&[]]), 1, 3).is_empty());
     }
 
     #[test]

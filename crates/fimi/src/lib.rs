@@ -5,14 +5,10 @@
 //! `tKd` and `tKd-ML2` metrics, K = 1000 in the evaluation).  This crate
 //! provides the mining machinery:
 //!
-//! * [`apriori`] — the classic level-wise Apriori miner (reference
-//!   implementation, easy to audit),
-//! * [`fpgrowth`] — an FP-growth miner used for the large experiment runs
-//!   (same results, much faster on long transactions),
-//! * [`topk`] — exact top-K frequent itemset extraction built on either
-//!   miner.
+//! * [`fpgrowth`] — the FP-growth threshold miner,
+//! * [`topk`] — exact top-K frequent itemset extraction built on it.
 //!
-//! The miners are item-type agnostic: transactions are `Vec<u32>` item lists
+//! The miner is item-type agnostic: transactions are `Vec<u32>` item lists
 //! so that both original terms ([`transact::TermId`]) and generalized
 //! taxonomy nodes (`hierarchy::NodeId`, needed by tKd-ML2) can be mined with
 //! the same code.  Use [`records_to_transactions`] to adapt a
@@ -21,13 +17,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod apriori;
 pub mod fpgrowth;
 pub mod topk;
 
-pub use apriori::mine_frequent_apriori;
 pub use fpgrowth::mine_frequent_fpgrowth;
-pub use topk::{top_k_frequent, MinerKind, TopKConfig};
+pub use topk::{top_k_frequent, TopKConfig};
 
 use transact::Record;
 
@@ -69,7 +63,7 @@ pub fn records_to_transactions(records: &[Record]) -> Vec<Vec<u32>> {
 
 /// Sorts mined itemsets by descending support, breaking ties by ascending
 /// length and lexicographic item order so results are deterministic across
-/// miners and runs.
+/// runs.
 pub fn sort_canonical(itemsets: &mut [FrequentItemset]) {
     itemsets.sort_by(|a, b| {
         b.support
@@ -77,6 +71,56 @@ pub fn sort_canonical(itemsets: &mut [FrequentItemset]) {
             .then_with(|| a.items.len().cmp(&b.items.len()))
             .then_with(|| a.items.cmp(&b.items))
     });
+}
+
+/// The reference that the FP-growth and top-K tests compare against.
+#[cfg(test)]
+mod oracle {
+    use crate::FrequentItemset;
+    use std::collections::HashMap;
+
+    /// Every itemset with support ≥ `min_support` and size ≤ `max_len`, by
+    /// enumerating each transaction's subsets (exponential; small inputs
+    /// only). Sorted by item list.
+    pub(crate) fn mine_frequent_bruteforce(
+        transactions: &[Vec<u32>],
+        min_support: u64,
+        max_len: usize,
+    ) -> Vec<FrequentItemset> {
+        fn rec(
+            items: &[u32],
+            start: usize,
+            max_len: usize,
+            cur: &mut Vec<u32>,
+            counts: &mut HashMap<Vec<u32>, u64>,
+        ) {
+            for i in start..items.len() {
+                cur.push(items[i]);
+                *counts.entry(cur.clone()).or_insert(0) += 1;
+                if cur.len() < max_len {
+                    rec(items, i + 1, max_len, cur, counts);
+                }
+                cur.pop();
+            }
+        }
+        let min_support = min_support.max(1);
+        let mut counts: HashMap<Vec<u32>, u64> = HashMap::new();
+        for t in transactions {
+            let mut items = t.clone();
+            items.sort_unstable();
+            items.dedup();
+            if max_len > 0 {
+                rec(&items, 0, max_len, &mut Vec::new(), &mut counts);
+            }
+        }
+        let mut out: Vec<FrequentItemset> = counts
+            .into_iter()
+            .filter(|&(_, c)| c >= min_support)
+            .map(|(items, support)| FrequentItemset { items, support })
+            .collect();
+        out.sort_by(|a, b| a.items.cmp(&b.items));
+        out
+    }
 }
 
 #[cfg(test)]

@@ -18,18 +18,8 @@
 //! a fixed budget, trading the (arbitrarily tie-ranked) low-support tail of
 //! the top-K for a bounded run; exactness on small inputs is preserved.
 
-use crate::{mine_frequent_apriori, mine_frequent_fpgrowth, sort_canonical, FrequentItemset};
+use crate::{mine_frequent_fpgrowth, sort_canonical, FrequentItemset};
 use std::collections::HashMap;
-
-/// Which mining algorithm to run underneath.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MinerKind {
-    /// FP-growth (default — fastest on the paper-scale datasets).
-    #[default]
-    FpGrowth,
-    /// Level-wise Apriori (reference implementation).
-    Apriori,
-}
 
 /// Configuration of a top-K mining run.
 #[derive(Debug, Clone)]
@@ -39,8 +29,6 @@ pub struct TopKConfig {
     /// Maximum itemset length considered (the top-1000 of the evaluation
     /// datasets are short; 4 is a safe default).
     pub max_len: usize,
-    /// Mining algorithm.
-    pub miner: MinerKind,
     /// Optional floor for the derived threshold, as a fraction of the number
     /// of transactions.  Guards against pathological inputs where the K-th
     /// singleton support is tiny and threshold mining would enumerate an
@@ -59,7 +47,6 @@ impl Default for TopKConfig {
         TopKConfig {
             k: 1000,
             max_len: 4,
-            miner: MinerKind::FpGrowth,
             min_relative_support: None,
             min_absolute_support: None,
         }
@@ -83,10 +70,7 @@ pub fn top_k_frequent(transactions: &[Vec<u32>], config: &TopKConfig) -> Vec<Fre
         return Vec::new();
     }
     let threshold = derive_threshold(transactions, config);
-    let mut mined = match config.miner {
-        MinerKind::FpGrowth => mine_frequent_fpgrowth(transactions, threshold, config.max_len),
-        MinerKind::Apriori => mine_frequent_apriori(transactions, threshold, config.max_len),
-    };
+    let mut mined = mine_frequent_fpgrowth(transactions, threshold, config.max_len);
     sort_canonical(&mut mined);
     mined.truncate(config.k);
     mined
@@ -173,7 +157,7 @@ fn subset_work(n: usize, max_len: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apriori::mine_frequent_bruteforce;
+    use crate::oracle::mine_frequent_bruteforce;
 
     fn tx(data: &[&[u32]]) -> Vec<Vec<u32>> {
         data.iter().map(|t| t.to_vec()).collect()
@@ -230,29 +214,19 @@ mod tests {
     }
 
     #[test]
-    fn both_miners_agree() {
+    fn top_k_matches_bruteforce_itemsets() {
         let t = tx(&[&[1, 2, 3], &[1, 2], &[2, 3], &[1, 3], &[1, 2, 3]]);
-        let a = top_k_frequent(
+        let top = top_k_frequent(
             &t,
             &TopKConfig {
                 k: 8,
-                miner: MinerKind::Apriori,
                 ..TopKConfig::default()
             },
         );
-        let b = top_k_frequent(
-            &t,
-            &TopKConfig {
-                k: 8,
-                miner: MinerKind::FpGrowth,
-                ..TopKConfig::default()
-            },
-        );
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.items, y.items);
-            assert_eq!(x.support, y.support);
-        }
+        let mut all = mine_frequent_bruteforce(&t, 1, TopKConfig::default().max_len);
+        sort_canonical(&mut all);
+        all.truncate(8);
+        assert_eq!(top, all);
     }
 
     #[test]

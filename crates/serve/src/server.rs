@@ -33,7 +33,7 @@ use disassoc_obs::names;
 use disassoc_obs::trace as obs_trace;
 use disassoc_store::publish::{self, AppendJob};
 use disassociation::{AppendOptions, DisassociationConfig, Pipeline};
-use serde_json::Value;
+use serde::Serialize;
 use transact::{io::RecordReader, Record, TermId};
 
 /// Tuning knobs for [`Server::bind`]; the defaults suit a small host.
@@ -306,79 +306,76 @@ fn route(state: &Arc<State>, request: &Request) -> Response {
     result.unwrap_or_else(ServeError::into_response)
 }
 
-/// Builds a compact JSON object response body.
-fn obj(fields: Vec<(&str, Value)>) -> String {
-    let value = Value::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect());
-    // lint:allow(panic, "serialization of an owned value tree cannot fail")
-    serde_json::to_string(&value).expect("a value tree always serializes")
+/// The `GET /healthz` body.
+#[derive(Serialize)]
+struct Health {
+    status: &'static str,
+    datasets: usize,
+    /// Names of the datasets degraded to read-only.
+    degraded: Vec<String>,
+    draining: bool,
 }
 
 fn healthz(state: &Arc<State>) -> Response {
     let datasets = state.registry.list();
-    let degraded: Vec<Value> = datasets
+    let degraded: Vec<String> = datasets
         .iter()
         .filter(|h| h.is_degraded())
-        .map(|h| Value::Str(h.name().to_owned()))
+        .map(|h| h.name().to_owned())
         .collect();
     let status = if degraded.is_empty() {
         "ok"
     } else {
         "degraded"
     };
-    Response::json(
+    Response::json_of(
         200,
-        obj(vec![
-            ("status", Value::Str(status.to_owned())),
-            ("datasets", Value::Int(datasets.len() as i128)),
-            ("degraded", Value::Array(degraded)),
-            ("draining", Value::Bool(state.stopping())),
-        ]),
+        &Health {
+            status,
+            datasets: datasets.len(),
+            degraded,
+            draining: state.stopping(),
+        },
     )
 }
 
-fn dataset_summary(handle: &DatasetHandle) -> Value {
-    // `try_with_store` so the admin surface never blocks behind a running
-    // anonymization; `records` is null while the store is busy or unopened.
-    let records = handle
-        .try_with_store(|st| st.len())
-        .map(|n| Value::Int(n as i128))
-        .unwrap_or(Value::Null);
-    Value::Object(vec![
-        ("name".to_owned(), Value::Str(handle.name().to_owned())),
-        ("records".to_owned(), records),
-        (
-            "pending_jobs".to_owned(),
-            Value::Int(handle.pending_jobs() as i128),
-        ),
-        (
-            "published".to_owned(),
-            Value::Bool(handle.publication_path().is_file()),
-        ),
-        ("degraded".to_owned(), Value::Bool(handle.is_degraded())),
-    ])
+/// One dataset's summary: the `GET /datasets/{name}` body and each entry of
+/// the `GET /datasets` list.
+#[derive(Serialize)]
+struct DatasetSummary {
+    name: String,
+    /// Null while the store is busy or unopened.
+    records: Option<u64>,
+    pending_jobs: usize,
+    published: bool,
+    degraded: bool,
+}
+
+fn dataset_summary(handle: &DatasetHandle) -> DatasetSummary {
+    DatasetSummary {
+        name: handle.name().to_owned(),
+        // `try_with_store` so the admin surface never blocks behind a
+        // running anonymization.
+        records: handle.try_with_store(|st| st.len()),
+        pending_jobs: handle.pending_jobs(),
+        published: handle.publication_path().is_file(),
+        degraded: handle.is_degraded(),
+    }
 }
 
 fn list_datasets(state: &Arc<State>) -> Response {
-    let list: Vec<Value> = state
+    let list: Vec<DatasetSummary> = state
         .registry
         .list()
         .iter()
         .map(|h| dataset_summary(h))
         .collect();
-    Response::json(
-        200,
-        // lint:allow(panic, "serialization of an owned value tree cannot fail")
-        serde_json::to_string(&Value::Array(list)).expect("a value tree always serializes"),
-    )
+    Response::json_of(200, &list)
 }
 
 fn dataset_info(state: &Arc<State>, name: &str) -> Result<Response, ServeError> {
     let handle = require_dataset(state, name)?;
-    Ok(Response::json(
-        200,
-        // lint:allow(panic, "serialization of an owned value tree cannot fail")
-        serde_json::to_string(&dataset_summary(&handle)).expect("a value tree always serializes"),
-    ))
+    Ok(Response::json_of(200, &dataset_summary(&handle)))
 }
 
 fn require_dataset(state: &Arc<State>, name: &str) -> Result<Arc<DatasetHandle>, ServeError> {
@@ -422,14 +419,23 @@ fn ingest(state: &Arc<State>, name: &str, body: &[u8]) -> Result<Response, Serve
         })
     })?;
     counters::SERVE_INGESTED_RECORDS.add(records.len() as u64);
-    Ok(Response::json(
+    Ok(Response::json_of(
         200,
-        obj(vec![
-            ("dataset", Value::Str(name.to_owned())),
-            ("appended", Value::Int(records.len() as i128)),
-            ("total", Value::Int(total as i128)),
-        ]),
+        &Ingested {
+            dataset: name.to_owned(),
+            appended: records.len(),
+            total,
+        },
     ))
+}
+
+/// The `POST /datasets/{name}/records` body.
+#[derive(Serialize)]
+struct Ingested {
+    dataset: String,
+    appended: usize,
+    /// Records in the store after this ingest.
+    total: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -573,22 +579,32 @@ fn anonymize_job(
         })
     });
     let summary = result?;
-    Ok(Response::json(
+    Ok(Response::json_of(
         200,
-        obj(vec![
-            ("dataset", Value::Str(name.to_owned())),
-            ("records", Value::Int(summary.records as i128)),
-            ("batches", Value::Int(summary.batches as i128)),
-            (
-                "simple_clusters",
-                Value::Int(summary.simple_clusters as i128),
-            ),
-            ("record_chunks", Value::Int(summary.record_chunks as i128)),
-            ("shared_chunks", Value::Int(summary.shared_chunks as i128)),
-            ("refine_converged", Value::Bool(summary.refine_converged)),
-            ("seconds", Value::Float(seconds)),
-        ]),
+        &Anonymized {
+            dataset: name.to_owned(),
+            records: summary.records,
+            batches: summary.batches,
+            simple_clusters: summary.simple_clusters,
+            record_chunks: summary.record_chunks,
+            shared_chunks: summary.shared_chunks,
+            refine_converged: summary.refine_converged,
+            seconds,
+        },
     ))
+}
+
+/// The `POST /datasets/{name}/anonymize` body.
+#[derive(Serialize)]
+struct Anonymized {
+    dataset: String,
+    records: usize,
+    batches: usize,
+    simple_clusters: usize,
+    record_chunks: usize,
+    shared_chunks: usize,
+    refine_converged: bool,
+    seconds: f64,
 }
 
 fn append(state: &Arc<State>, name: &str, request: &Request) -> Result<Response, ServeError> {
@@ -664,25 +680,32 @@ fn append_job(
         })
     });
     let outcome = result?.outcome;
-    Ok(Response::json(
+    Ok(Response::json_of(
         200,
-        obj(vec![
-            ("dataset", Value::Str(name.to_owned())),
-            ("appended", Value::Int(outcome.appended_records as i128)),
-            ("dirty_clusters", Value::Int(outcome.dirty_clusters as i128)),
-            (
-                "reused_clusters",
-                Value::Int(outcome.reused_clusters as i128),
-            ),
-            ("new_clusters", Value::Int(outcome.new_clusters as i128)),
-            (
-                "republished_chunks",
-                Value::Int(outcome.republished_chunks as i128),
-            ),
-            ("total_clusters", Value::Int(outcome.total_clusters as i128)),
-            ("seconds", Value::Float(seconds)),
-        ]),
+        &Appended {
+            dataset: name.to_owned(),
+            appended: outcome.appended_records,
+            dirty_clusters: outcome.dirty_clusters,
+            reused_clusters: outcome.reused_clusters,
+            new_clusters: outcome.new_clusters,
+            republished_chunks: outcome.republished_chunks,
+            total_clusters: outcome.total_clusters,
+            seconds,
+        },
     ))
+}
+
+/// The `POST /datasets/{name}/append` body.
+#[derive(Serialize)]
+struct Appended {
+    dataset: String,
+    appended: usize,
+    dirty_clusters: usize,
+    reused_clusters: usize,
+    new_clusters: usize,
+    republished_chunks: usize,
+    total_clusters: usize,
+    seconds: f64,
 }
 
 // ---------------------------------------------------------------------------

@@ -160,13 +160,8 @@ fn graceful_shutdown_drains_and_acknowledged_ingests_survive_restart() {
     let (addr, shutdown, join) = spawn_server(&data_dir, ServeConfig::default());
     let info = client::get(addr, "/datasets/d").unwrap();
     assert_eq!(info.status, 200, "{}", info.text());
-    let expected = format!("\"records\": {}", 3 * dataset.len());
-    let compact = format!("\"records\":{}", 3 * dataset.len());
-    assert!(
-        info.text().contains(&expected) || info.text().contains(&compact),
-        "{}",
-        info.text()
-    );
+    let expected = format!("\"records\":{}", 3 * dataset.len());
+    assert!(info.text().contains(&expected), "{}", info.text());
     let anon = client::post(addr, "/datasets/d/anonymize?k=3&m=2", b"").unwrap();
     assert_eq!(anon.status, 200, "{}", anon.text());
     shutdown.shutdown();
@@ -343,4 +338,145 @@ fn full_per_dataset_queues_answer_503_with_retry_after() {
 
     shutdown.shutdown();
     join.join().unwrap().unwrap();
+}
+
+/// The body with the number after `"seconds":` replaced by `0`, so a job
+/// response compares independent of how long the job took.
+fn mask_seconds(body: &str) -> String {
+    let (head, tail) = body
+        .split_once("\"seconds\":")
+        .unwrap_or_else(|| panic!("no seconds field in {body}"));
+    let end = tail
+        .find([',', '}'])
+        .unwrap_or_else(|| panic!("unterminated seconds in {body}"));
+    format!("{head}\"seconds\":0{}", &tail[end..])
+}
+
+/// The top-level keys of a compact JSON object body, in order; panics when
+/// the body is not an object or not in the compact rendering.
+fn compact_object_keys(body: &str) -> Vec<String> {
+    let value: serde_json::Value = serde_json::from_str(body).unwrap();
+    assert_eq!(serde_json::to_string(&value).unwrap(), body, "not compact");
+    value
+        .as_object()
+        .unwrap_or_else(|| panic!("not an object: {body}"))
+        .iter()
+        .map(|(key, _)| key.clone())
+        .collect()
+}
+
+/// Field names, field order and the compact rendering of every daemon
+/// response body are pinned byte for byte; the anonymize and append bodies,
+/// whose `seconds` varies, are pinned by key order and their stable values.
+#[test]
+fn response_bodies_are_pinned_byte_for_byte() {
+    let data_dir = tmpdir("bodies");
+    // A dataset directory with a chunk directory and no store is registered
+    // at startup; its summary reports `records` as null.
+    std::fs::create_dir_all(data_dir.join("ghost/chunks")).unwrap();
+    let (addr, shutdown, join) = spawn_server(&data_dir, ServeConfig::default());
+    let body_of = |resp: client::ClientResponse, status: u16| {
+        assert_eq!(resp.status, status, "{}", resp.text());
+        resp.text()
+    };
+
+    assert_eq!(
+        body_of(client::get(addr, "/healthz").unwrap(), 200),
+        r#"{"status":"ok","datasets":1,"degraded":[],"draining":false}"#
+    );
+    let records = numeric_body(&quest(300, 60, 21));
+    assert_eq!(
+        body_of(
+            client::post(addr, "/datasets/d/records", &records).unwrap(),
+            200
+        ),
+        r#"{"dataset":"d","appended":300,"total":300}"#
+    );
+    assert_eq!(
+        body_of(client::get(addr, "/datasets").unwrap(), 200),
+        concat!(
+            r#"[{"name":"d","records":300,"pending_jobs":0,"published":false,"degraded":false},"#,
+            r#"{"name":"ghost","records":null,"pending_jobs":0,"published":false,"degraded":false}]"#
+        )
+    );
+
+    let anonymize = body_of(
+        client::post(addr, "/datasets/d/anonymize?k=3&m=2", b"").unwrap(),
+        200,
+    );
+    let anonymize = mask_seconds(&anonymize);
+    assert_eq!(
+        compact_object_keys(&anonymize),
+        [
+            "dataset",
+            "records",
+            "batches",
+            "simple_clusters",
+            "record_chunks",
+            "shared_chunks",
+            "refine_converged",
+            "seconds"
+        ]
+    );
+    assert!(
+        anonymize.starts_with(r#"{"dataset":"d","records":300,"batches":1,"#),
+        "{anonymize}"
+    );
+    assert_eq!(
+        body_of(client::get(addr, "/datasets/d").unwrap(), 200),
+        r#"{"name":"d","records":300,"pending_jobs":0,"published":true,"degraded":false}"#
+    );
+
+    let delta = numeric_body(&quest(40, 60, 22));
+    let append = body_of(
+        client::post(addr, "/datasets/d/append?k=3&m=2", &delta).unwrap(),
+        200,
+    );
+    let append = mask_seconds(&append);
+    assert_eq!(
+        compact_object_keys(&append),
+        [
+            "dataset",
+            "appended",
+            "dirty_clusters",
+            "reused_clusters",
+            "new_clusters",
+            "republished_chunks",
+            "total_clusters",
+            "seconds"
+        ]
+    );
+    assert!(
+        append.starts_with(r#"{"dataset":"d","appended":40,"#),
+        "{append}"
+    );
+
+    assert_eq!(
+        body_of(client::get(addr, "/nope").unwrap(), 404),
+        r#"{"error":"no route for GET /nope"}"#
+    );
+    assert_eq!(
+        body_of(client::post(addr, "/healthz", b"").unwrap(), 405),
+        r#"{"error":"method not allowed for this path"}"#
+    );
+    shutdown.shutdown();
+    join.join().unwrap().unwrap();
+
+    // A connection over the cap answers 503 from the accept loop.
+    let capped_dir = tmpdir("bodies_capped");
+    let config = ServeConfig {
+        max_connections: 1,
+        ..ServeConfig::default()
+    };
+    let (addr, shutdown, join) = spawn_server(&capped_dir, config);
+    let idle = std::net::TcpStream::connect(addr).unwrap();
+    assert_eq!(
+        body_of(client::get(addr, "/healthz").unwrap(), 503),
+        r#"{"error":"connection limit reached"}"#
+    );
+    drop(idle);
+    shutdown.shutdown();
+    join.join().unwrap().unwrap();
+    std::fs::remove_dir_all(&data_dir).ok();
+    std::fs::remove_dir_all(&capped_dir).ok();
 }
