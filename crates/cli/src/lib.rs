@@ -995,6 +995,7 @@ impl Command {
                 let bytes = std::fs::read(chunks)?;
                 let published: disassociation::DisassociatedDataset =
                     serde_json::from_slice(&bytes)?;
+                drop(bytes);
                 let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(*seed);
                 let reconstructions = reconstruct_many(&published, (*samples).max(1), &mut rng);
                 for (i, d) in reconstructions.iter().enumerate() {
@@ -1006,6 +1007,11 @@ impl Command {
                     transact::io::write_numeric_transactions_path(d, &target)?;
                     writeln!(out, "reconstruction {} -> {}", i, target.display())?;
                 }
+                // The process exits next: freeing every record of the
+                // publication and the reconstructions one by one would only
+                // delay that (~0.1 s on a 200k-record publication).
+                std::mem::forget(reconstructions);
+                std::mem::forget(published);
                 Ok(())
             }
             Command::Evaluate {
@@ -1082,7 +1088,7 @@ impl Command {
                     disassoc_obs::trace::init_file(path)?;
                 }
                 // SIGTERM/SIGINT become a graceful drain instead of a kill.
-                disassoc_serve::signal::install();
+                disassoc_serve::signal::install()?;
                 let server =
                     disassoc_serve::Server::bind(listen.as_str(), data_dir, config.clone())?;
                 let addr = server.local_addr()?;

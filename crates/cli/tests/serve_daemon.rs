@@ -1,6 +1,7 @@
 //! Process-level tests of `disassoc serve`: the crash-safety contract of
 //! the store (PR 2) verified through the daemon — SIGTERM under load drains
-//! and exits 0 with every acknowledged ingest intact, and kill -9
+//! and exits 0 with every acknowledged ingest intact, an idle daemon wakes
+//! from its blocking accept on SIGTERM or SIGINT alone, and kill -9
 //! mid-ingest leaves a store that reopens cleanly via WAL recovery.
 //!
 //! These need the real binary (signals target a process), so they live in
@@ -160,6 +161,41 @@ fn sigterm_under_load_exits_cleanly_with_acknowledged_ingests_intact() {
         stored >= acked_records,
         "store holds {stored} records but {acked_records} were acknowledged"
     );
+}
+
+/// An idle daemon — one request answered, then nothing — must wake from
+/// its blocking accept on `signal` alone.  No connection is made after the
+/// signal: a stray one would wake the accept and mask a lost signal wake.
+fn idle_daemon_drains_on(signal: &str) {
+    let data_dir = tmpdir(&format!("idle_{signal}"));
+    let (mut child, addr) = spawn_daemon(&data_dir);
+    let health = client::get(addr, "/healthz").expect("healthz");
+    assert_eq!(health.status, 200);
+    std::thread::sleep(Duration::from_millis(200));
+
+    let kill = Command::new("kill")
+        .args([&format!("-{signal}"), &child.id().to_string()])
+        .status()
+        .expect("sending the signal");
+    assert!(kill.success());
+    let status = wait_for_exit(&mut child, Duration::from_secs(5));
+    assert!(status.success(), "SIG{signal} must exit 0, got {status:?}");
+    let mut rest = String::new();
+    std::io::Read::read_to_string(child.stdout.as_mut().unwrap(), &mut rest).unwrap();
+    assert!(
+        rest.contains("drained and shut down cleanly"),
+        "stdout tail: {rest:?}"
+    );
+}
+
+#[test]
+fn idle_daemon_drains_within_five_seconds_of_sigterm() {
+    idle_daemon_drains_on("TERM");
+}
+
+#[test]
+fn idle_daemon_drains_within_five_seconds_of_sigint() {
+    idle_daemon_drains_on("INT");
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! std and the vendored shims: the HTTP/1.1 layer is hand-rolled over
 //! [`std::net::TcpListener`] ([`http`]), the worker pool is a
 //! `Mutex<VecDeque>` + `Condvar` ([`jobs`]), and SIGTERM handling is one
-//! `extern "C"` declaration away from std ([`signal`]).
+//! `extern "C"` block (`signal(2)`, `write(2)`) away from std ([`signal`]).
 //!
 //! # Surface
 //!

@@ -8,15 +8,20 @@
 //! per-dataset admission count, so a flood of jobs answers 503 +
 //! `Retry-After` instead of queueing without bound.
 //!
-//! Shutdown contract: when [`crate::signal::requested`] (SIGTERM/SIGINT) or
-//! an in-process [`ShutdownHandle`] fires, the accept loop stops taking
-//! connections, the worker pool drains every job whose submission was
-//! acknowledged, open connections finish their request, every open store is
-//! flushed, and [`Server::run`] returns `Ok(())` — after which the data
-//! directory reopens with zero recovery surprises.
+//! The accept loop blocks in `accept(2)`; nothing polls.  Shutdown wakes it
+//! with one loopback connection to the listener's own address, made by
+//! [`ShutdownHandle::shutdown`] — or, for SIGTERM/SIGINT, by the thread
+//! [`crate::signal::on_shutdown`] starts, which calls the same method.
+//!
+//! Shutdown contract: once shutdown is requested, the accept loop stops
+//! taking connections (the connection that woke it is dropped unanswered),
+//! the worker pool drains every job whose submission was acknowledged, open
+//! connections finish their request, every open store is flushed, and
+//! [`Server::run`] returns `Ok(())` — after which the data directory reopens
+//! with zero recovery surprises.
 
-use std::io::{BufReader, BufWriter, Read};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufReader, BufWriter, ErrorKind, Read};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -77,8 +82,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// How often the accept loop re-checks the shutdown flag while idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
+/// How long the shutdown wake may take to connect.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 struct State {
     registry: Registry,
@@ -86,6 +91,8 @@ struct State {
     submitter: JobSubmitter,
     shutdown: AtomicBool,
     active_connections: AtomicUsize,
+    /// The listener's bound address, the target of [`wake`].
+    addr: SocketAddr,
 }
 
 impl State {
@@ -102,11 +109,26 @@ pub struct ShutdownHandle {
 }
 
 impl ShutdownHandle {
-    /// Raises the shutdown flag; [`Server::run`] notices within one accept
-    /// poll (~25ms) and begins the drain.
+    /// Raises the shutdown flag and wakes the blocked accept, so
+    /// [`Server::run`] begins the drain at once.
     pub fn shutdown(&self) {
         self.state.shutdown.store(true, Ordering::Release);
+        wake(self.state.addr);
     }
+}
+
+/// Unblocks the accept loop with one connection to the listener at `addr`
+/// (an unspecified IP becomes loopback of the same family).  A failed
+/// connect is ignored: it means the listener is gone or its backlog is
+/// full, and either way the loop does not stay blocked.
+fn wake(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&addr, WAKE_TIMEOUT);
 }
 
 /// A bound, not-yet-running service instance.
@@ -125,6 +147,7 @@ impl Server {
         config: ServeConfig,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
         let registry = Registry::open(data_dir)?;
         let pool = WorkerPool::start(config.workers)?;
         let state = Arc::new(State {
@@ -133,6 +156,7 @@ impl Server {
             submitter: pool.submitter(),
             shutdown: AtomicBool::new(false),
             active_connections: AtomicUsize::new(0),
+            addr,
         });
         Ok(Server {
             listener,
@@ -159,10 +183,17 @@ impl Server {
     /// `GET /metrics` always has data.
     pub fn run(self) -> std::io::Result<()> {
         metrics::enable();
-        self.listener.set_nonblocking(true)?;
+        let handle = self.shutdown_handle();
+        signal::on_shutdown(move || handle.shutdown())?;
         let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.state.stopping() {
-            match self.listener.accept() {
+        loop {
+            let accepted = self.listener.accept();
+            // Checked before anything else: after a shutdown request the
+            // accepted stream is the wake (or a late client) and is dropped.
+            if self.state.stopping() {
+                break;
+            }
+            match accepted {
                 Ok((stream, _peer)) => {
                     connections.retain(|h| !h.is_finished());
                     let active = self.state.active_connections.load(Ordering::Acquire);
@@ -186,10 +217,7 @@ impl Server {
                         }
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
@@ -217,10 +245,12 @@ const REJECT_DRAIN_READS: usize = 8;
 /// whole point is not to spawn anything for them).
 ///
 /// After the response the write side is shut and the request is drained
-/// (bounded by [`REJECT_DRAIN_READS`] reads of at most
-/// [`REJECT_DRAIN_TIMEOUT`] each): closing a socket with unread request
-/// bytes makes the kernel send a reset, which can destroy the 503 before
-/// the client reads it.
+/// until the client closes (bounded by [`REJECT_DRAIN_READS`] reads of at
+/// most [`REJECT_DRAIN_TIMEOUT`] each): closing a socket with unread
+/// request bytes makes the kernel send a reset, which can destroy the 503
+/// before the client reads it.  A read that times out does not end the
+/// drain: the accept is immediate, so the request may not have arrived yet,
+/// and closing before it does would fail the client's write with EPIPE.
 fn reject_overloaded(stream: TcpStream, config: &ServeConfig) {
     let _ = stream.set_write_timeout(Some(config.write_timeout));
     let mut writer = BufWriter::new(stream);
@@ -235,8 +265,14 @@ fn reject_overloaded(stream: TcpStream, config: &ServeConfig) {
     let mut sink = [0u8; 8 << 10];
     for _ in 0..REJECT_DRAIN_READS {
         match stream.read(&mut sink) {
-            Ok(0) | Err(_) => break,
+            Ok(0) => break,
             Ok(_) => {}
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) => {}
+            Err(_) => break,
         }
     }
 }
@@ -721,7 +757,7 @@ fn chunks(state: &Arc<State>, name: &str, request: &Request) -> Result<Response,
         // sees one complete publication or none.
         None => match std::fs::read(handle.publication_path()) {
             Ok(bytes) => Ok(Response::json(200, bytes)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Err(not_yet()),
+            Err(e) if e.kind() == ErrorKind::NotFound => Err(not_yet()),
             Err(e) => Err(ServeError::from(e)),
         },
         // Term-filtered: the matching clusters' compact bytes, copied from

@@ -14,6 +14,8 @@ use disassociation::DisassociatedDataset;
 use std::io::{Read, Write};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 use transact::{Dataset, TermId};
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -166,6 +168,48 @@ fn graceful_shutdown_drains_and_acknowledged_ingests_survive_restart() {
     assert_eq!(anon.status, 200, "{}", anon.text());
     shutdown.shutdown();
     join.join().unwrap().unwrap();
+}
+
+/// An idle server bound to the unspecified address returns from `run`
+/// within a second of `shutdown`: the wake connects to loopback, not to
+/// `0.0.0.0`.
+#[test]
+fn idle_server_on_the_unspecified_address_stops_within_a_second_of_shutdown() {
+    let server = Server::bind("0.0.0.0:0", tmpdir("unspecified"), ServeConfig::default()).unwrap();
+    let shutdown = server.shutdown_handle();
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || done_tx.send(server.run()).unwrap());
+    std::thread::sleep(Duration::from_millis(100));
+    shutdown.shutdown();
+    done_rx
+        .recv_timeout(Duration::from_secs(1))
+        .expect("run returns within 1 s of shutdown")
+        .expect("graceful shutdown returns Ok");
+}
+
+/// A request reaching an idle server is accepted at once: the accept loop
+/// blocks in `accept` and never sleeps between polls (a 25 ms poll would
+/// put the median between 12 and 20 ms, far above the 5 ms limit).
+#[test]
+fn requests_to_an_idle_server_wait_for_no_accept_poll() {
+    let (addr, shutdown, join) = spawn_server(&tmpdir("idle_latency"), ServeConfig::default());
+    let mut latencies: Vec<Duration> = (0..20)
+        .map(|_| {
+            std::thread::sleep(Duration::from_millis(30));
+            let start = Instant::now();
+            let resp = client::get(addr, "/healthz").unwrap();
+            assert_eq!(resp.status, 200);
+            start.elapsed()
+        })
+        .collect();
+    shutdown.shutdown();
+    join.join().unwrap().unwrap();
+    latencies.sort();
+    let median = latencies[latencies.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median idle /healthz latency {median:?} (all: {latencies:?})"
+    );
 }
 
 /// Malformed and oversized bodies come back as 4xx — and the server keeps
